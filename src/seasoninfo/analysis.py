@@ -6,7 +6,7 @@ single-breakpoint piecewise-linear fit of the curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -127,6 +127,9 @@ class SummaryReport:
     slopes: dict[float, float]
     informativeness_ratios: dict[str, float]
     breakpoint: BreakpointFit | None
+    # Why an odds ratio above is NaN, keyed "or_mov_875" or
+    # "per_season_or.<season>"; see _odds_ratio_or_reason.
+    undefined: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -172,6 +175,15 @@ def aggregate_league_curve(rows: Sequence[CurveRow]):
     return out
 
 
+def _odds_ratio_or_reason(model_acc: float, baseline_acc: float) -> tuple[float, str | None]:
+    """The odds ratio and None, or NaN and the reason it is undefined: a
+    saturated accuracy (exactly 0 or 1) has no finite odds."""
+    try:
+        return odds_ratio(model_acc, baseline_acc), None
+    except ValueError as exc:
+        return float("nan"), f"undefined: {exc}"
+
+
 def summarize_league(league: str, rows: Sequence[CurveRow],
                      slopes_by_league: dict[str, dict[float, float]] | None = None,
                      ratio_column: float = 0.875) -> SummaryReport:
@@ -188,15 +200,20 @@ def summarize_league(league: str, rows: Sequence[CurveRow],
 
     at_875 = [(x, mov, base) for f, x, mov, _, base, _, _ in agg if abs(f - 0.875) < 1e-9]
     per_season_or = {}
+    undefined = {}
     for s in seasons:
         srow = [r for r in rows if r.season == s and abs(r.fraction - 0.875) < 1e-9]
         if srow:
-            per_season_or[s] = odds_ratio(srow[0].mean_mov_acc, srow[0].baseline_acc)
+            per_season_or[s], reason = _odds_ratio_or_reason(srow[0].mean_mov_acc,
+                                                             srow[0].baseline_acc)
+            if reason:
+                undefined[f"per_season_or.{s}"] = reason
+    or_875 = float("nan")
     if at_875:
         _, pooled_mov, pooled_base = at_875[0]
-        or_875 = odds_ratio(pooled_mov, pooled_base)
-    else:
-        or_875 = float("nan")
+        or_875, reason = _odds_ratio_or_reason(pooled_mov, pooled_base)
+        if reason:
+            undefined["or_mov_875"] = reason
 
     triples = [(f, x, mov) for f, x, mov, _, _, _, _ in agg]
     slopes = {}
@@ -227,4 +244,5 @@ def summarize_league(league: str, rows: Sequence[CurveRow],
         slopes=slopes,
         informativeness_ratios=ratios,
         breakpoint=breakpoint_fit,
+        undefined=undefined,
     )

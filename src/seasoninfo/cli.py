@@ -22,6 +22,7 @@ import io
 import json
 import math
 import os
+import secrets
 import sys
 from pathlib import Path
 
@@ -64,9 +65,18 @@ def _json_num(x: float):
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Write through a uniquely named temp file beside ``path``, then rename
+    it into place, so ``path`` is either untouched or complete; the temp
+    file is removed if anything fails."""
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _sha256(path: Path) -> str:
@@ -259,7 +269,8 @@ def cmd_summary(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["league", "or_mov_875"])
     for lg in leagues:
-        writer.writerow([lg, fmt6(reports[lg].or_mov_875)])
+        undefined = "or_mov_875" in reports[lg].undefined
+        writer.writerow([lg, "" if undefined else fmt6(reports[lg].or_mov_875)])
     _atomic_write(out_dir / "table_or.csv", buf.getvalue())
 
     buf = io.StringIO()
@@ -301,7 +312,7 @@ def _report_dict(report, rows) -> dict:
             "line_sse": _json_num(report.breakpoint.line_sse),
             "meaningful": report.breakpoint.meaningful,
         }
-    return {
+    out = {
         "seasons_used": list(report.seasons_used),
         "or_mov_875": _json_num(report.or_mov_875),
         "per_season_or": {s: _json_num(v) for s, v in sorted(report.per_season_or.items())},
@@ -323,6 +334,9 @@ def _report_dict(report, rows) -> dict:
             for f, x, mov, bt, base, lo, hi in agg
         ],
     }
+    if report.undefined:
+        out["or_undefined"] = dict(report.undefined)
+    return out
 
 
 def cmd_synth(args) -> int:
@@ -332,7 +346,14 @@ def cmd_synth(args) -> int:
         if strength_sd is not None:
             raise ConfigError("give --strengths or --strength-sd, not both")
         raw = json.loads(Path(args.strengths).read_text(encoding="utf-8"))
-        strengths = {str(k): float(v) for k, v in raw.items()}
+        if not isinstance(raw, dict):
+            raise ConfigError("--strengths must hold a JSON object of team: strength")
+        try:
+            strengths = {str(k): float(v) for k, v in raw.items()}
+        except (TypeError, ValueError):
+            raise ConfigError("--strengths values must be numbers") from None
+        if not all(math.isfinite(v) for v in strengths.values()):
+            raise ConfigError("--strengths values must be finite")
     elif strength_sd is None:
         strength_sd = 1.0
 

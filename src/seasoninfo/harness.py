@@ -13,19 +13,20 @@ import hashlib
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import ConfigError, FitError
-from .ingest import Game, Season
+from .ingest import Game, Season, encode_games
 from .models import (
     bt_predicts_home_win,
-    fit_bt,
-    fit_mov,
-    info_metric,
+    fit_bt_arrays,
+    fit_mov_arrays,
+    linear_predictor,
     mov_predicts_home_win,
-    predict_bt,
-    predict_mov,
+    score,
+    win_probability,
 )
 
 DEFAULT_X_GRID = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
@@ -83,26 +84,31 @@ def split_seed(master_seed: int, fraction: float, replicate: int) -> int:
 
 
 def train_size(fraction: float, n_games: int) -> int:
-    """Banker's rounding of fraction * n_games, the spec'd train size."""
-    return round(fraction * n_games)
+    """Banker's rounding of fraction * n_games, the spec'd train size.
+    Raises ConfigError if it leaves an empty train or test set."""
+    m = round(fraction * n_games)
+    if m < 1 or m >= n_games:
+        raise ConfigError(f"fraction {fraction} of {n_games} games leaves "
+                          "an empty train or test set")
+    return m
+
+
+def _train_mask(n_games: int, config: ProtocolConfig, fraction: float, replicate: int):
+    """Boolean mask of one cell's training games, and the cell's seed."""
+    m = train_size(fraction, n_games)
+    seed = split_seed(config.master_seed, fraction, replicate)
+    perm = np.random.default_rng(seed).permutation(n_games)
+    chosen = np.zeros(n_games, dtype=bool)
+    chosen[perm[:m]] = True
+    return chosen, seed
 
 
 def make_split(season: Season, config: ProtocolConfig, fraction: float,
                replicate: int) -> Split:
-    n = len(season.games)
-    m = train_size(fraction, n)
-    if m < 1 or m >= n:
-        raise ConfigError(
-            f"fraction {fraction} of {n} games leaves an empty train or test set"
-        )
-    seed = split_seed(config.master_seed, fraction, replicate)
-    perm = np.random.default_rng(seed).permutation(n)
-    chosen = np.zeros(n, dtype=bool)
-    chosen[perm[:m]] = True
-    train = tuple(g for g, c in zip(season.games, chosen) if c)
-    test = tuple(g for g, c in zip(season.games, chosen) if not c)
-    return Split(train=train, test=test, fraction=fraction,
-                 replicate_index=replicate, seed=seed)
+    chosen, seed = _train_mask(len(season.games), config, fraction, replicate)
+    return Split(train=tuple(compress(season.games, chosen)),
+                 test=tuple(compress(season.games, ~chosen)),
+                 fraction=fraction, replicate_index=replicate, seed=seed)
 
 
 def make_splits(season: Season, config: ProtocolConfig) -> list[Split]:
@@ -118,66 +124,41 @@ def home_baseline(test) -> float:
     games = list(test)
     if not games:
         raise ValueError("empty test set")
-    credit = sum(1.0 if g.margin > 0 else 0.5 if g.margin == 0 else 0.0 for g in games)
-    return credit / len(games)
+    return score(True, [g.margin for g in games])
 
 
-@dataclass(frozen=True)
-class ReplicateResult:
-    fraction: float
-    replicate: int
-    bt_acc: float | None
-    mov_acc: float | None
-    baseline: float
+def evaluate_replicate(columns, n_teams: int, config: ProtocolConfig, fraction: float,
+                       replicate: int) -> tuple[float | None, float, float]:
+    """BT accuracy (None if its fit failed), MOV accuracy and home-pick baseline
+    of one cell; ``columns`` is ``encode_games`` of the season over its sorted teams."""
+    chosen, _ = _train_mask(len(columns[2]), config, fraction, replicate)
+    train = [col[chosen] for col in columns]
+    home, away, margin = (col[~chosen] for col in columns)
 
-
-def _margin_sign(g: Game) -> int:
-    return 1 if g.margin > 0 else -1 if g.margin < 0 else 0
-
-
-def evaluate_replicate(season: Season, config: ProtocolConfig, fraction: float,
-                       replicate: int) -> ReplicateResult:
-    split = make_split(season, config, fraction, replicate)
-    baseline = home_baseline(split.test)
-
-    bt_acc = None
     try:
-        bt = fit_bt(split.train, season.teams, penalty=config.bt_penalty,
-                    tol=config.bt_tol, max_iter=config.bt_max_iter)
+        coef, _, _ = fit_bt_arrays(*train, n_teams, penalty=config.bt_penalty,
+                                   tol=config.bt_tol, max_iter=config.bt_max_iter)
     except FitError:
-        pass
+        bt_acc = None
     else:
-        bt_acc = info_metric(
-            (bt_predicts_home_win(predict_bt(bt, g)), _margin_sign(g))
-            for g in split.test
-        )
+        pi = win_probability(linear_predictor(coef, home, away))
+        bt_acc = score(bt_predicts_home_win(pi), margin)
 
-    mov_acc = None
-    try:
-        mov = fit_mov(split.train, season.teams, penalty=config.mov_penalty)
-    except FitError:
-        pass
-    else:
-        mov_acc = info_metric(
-            (mov_predicts_home_win(predict_mov(mov, g)), _margin_sign(g))
-            for g in split.test
-        )
-
-    return ReplicateResult(fraction=fraction, replicate=replicate,
-                           bt_acc=bt_acc, mov_acc=mov_acc, baseline=baseline)
+    coef, _ = fit_mov_arrays(*train, n_teams, penalty=config.mov_penalty)
+    mov_acc = score(mov_predicts_home_win(linear_predictor(coef, home, away)), margin)
+    return bt_acc, mov_acc, score(True, margin)
 
 
-_WORKER_STATE: tuple[Season, ProtocolConfig] | None = None
+_WORKER_STATE: tuple | None = None
 
 
-def _worker_init(season: Season, config: ProtocolConfig) -> None:
+def _worker_init(columns, n_teams: int, config: ProtocolConfig) -> None:
     global _WORKER_STATE
-    _WORKER_STATE = (season, config)
+    _WORKER_STATE = (columns, n_teams, config)
 
 
-def _worker_eval(task: tuple[float, int]) -> ReplicateResult:
-    season, config = _WORKER_STATE
-    return evaluate_replicate(season, config, task[0], task[1])
+def _worker_eval(task: tuple[float, int]):
+    return evaluate_replicate(*_WORKER_STATE, task[0], task[1])
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:
@@ -199,34 +180,26 @@ def run_protocol(season: Season, config: ProtocolConfig, jobs: int = 1) -> list[
     """
     n = len(season.games)
     for f in config.x_grid:
-        m = train_size(f, n)
-        if m < 1 or m >= n:
-            raise ConfigError(
-                f"fraction {f} of {n} games leaves an empty train or test set"
-            )
+        train_size(f, n)  # fail before any work starts
+    state = (encode_games(season.games, sorted(season.teams)), len(season.teams), config)
 
     tasks = [(f, k) for f in config.x_grid for k in range(config.replicates)]
     if jobs > 1:
         chunk = max(1, len(tasks) // (jobs * 4))
         with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
-                                 initargs=(season, config)) as pool:
-            results = list(pool.map(_worker_eval, tasks, chunksize=chunk))
+                                 initargs=state) as pool:
+            results = dict(zip(tasks, pool.map(_worker_eval, tasks, chunksize=chunk)))
     else:
-        results = [evaluate_replicate(season, config, f, k) for f, k in tasks]
-
-    by_fraction: dict[float, list[ReplicateResult]] = {f: [] for f in config.x_grid}
-    for r in results:
-        by_fraction[r.fraction].append(r)
+        results = {(f, k): evaluate_replicate(*state, f, k) for f, k in tasks}
 
     games_per_team = 2.0 * n / len(season.teams)
     points = []
     for f in config.x_grid:
-        rows = sorted(by_fraction[f], key=lambda r: r.replicate)
-        bt_vals = [r.bt_acc for r in rows if r.bt_acc is not None]
-        mov_vals = [r.mov_acc for r in rows if r.mov_acc is not None]
+        rows = [results[f, k] for k in range(config.replicates)]
+        bt_vals = [bt for bt, _, _ in rows if bt is not None]
         mean_bt, sd_bt = _mean_sd(bt_vals)
-        mean_mov, sd_mov = _mean_sd(mov_vals)
-        baseline = float(np.mean([r.baseline for r in rows]))
+        mean_mov, sd_mov = _mean_sd([mov for _, mov, _ in rows])
+        baseline = float(np.mean([base for _, _, base in rows]))
         points.append(
             CurvePoint(
                 fraction=f,
@@ -237,7 +210,7 @@ def run_protocol(season: Season, config: ProtocolConfig, jobs: int = 1) -> list[
                 sd_mov_acc=sd_mov,
                 baseline_acc=baseline,
                 bt_failures=len(rows) - len(bt_vals),
-                mov_failures=len(rows) - len(mov_vals),
+                mov_failures=0,  # the closed-form margin fit cannot fail
             )
         )
     return points

@@ -13,6 +13,9 @@ import datetime as dt
 import enum
 import io
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -82,6 +85,16 @@ class SeasonSummary:
     home_win_fraction: float
     tie_fraction: float
     games_per_team_mean: float
+
+
+def encode_games(games: Sequence[Game], teams: Sequence[str]):
+    """Columnar form of ``games``: home and away indices into ``teams``
+    (a sorted team list) and the signed home margins."""
+    index = {t: i for i, t in enumerate(teams)}
+    home = np.array([index[g.home] for g in games], dtype=np.intp)
+    away = np.array([index[g.away] for g in games], dtype=np.intp)
+    margin = np.array([g.margin for g in games], dtype=np.int64)
+    return home, away, margin
 
 
 def make_game_id(index: int) -> str:

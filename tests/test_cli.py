@@ -204,3 +204,53 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["curve"])  # missing required arguments
     assert err.value.code == 2
+
+
+def test_summary_saturated_accuracy_writes_null_with_reason(tmp_path):
+    # A perfect 0.875 row: the odds of a correct call are infinite.
+    curve = tmp_path / "nfl.csv"
+    curve.write_text(
+        "league,season,fraction,games_per_team,mean_bt_acc,sd_bt_acc,"
+        "mean_mov_acc,sd_mov_acc,baseline_acc,bt_failures,mov_failures\n"
+        "NFL,2012,0.875,14,0.9,0.01,1.0,0,0.6,0,0\n", encoding="utf-8")
+    out = tmp_path / "report"
+    assert main(["summary", str(curve), "--out", str(out)]) == 0
+
+    nfl = json.loads((out / "summary.json").read_text())["leagues"]["NFL"]
+    assert nfl["or_mov_875"] is None
+    assert nfl["per_season_or"] == {"2012": None}
+    assert set(nfl["or_undefined"]) == {"or_mov_875", "per_season_or.2012"}
+    assert "strictly between 0 and 1" in nfl["or_undefined"]["or_mov_875"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["reports"]["NFL"] == nfl
+    assert (out / "table_or.csv").read_text() == "league,or_mov_875\nNFL,\n"
+
+
+@pytest.mark.parametrize("body", ['{"A": "x", "B": 1.0}', '["A", "B"]', '{"A": [1], "B": 0}',
+                                  '{"A": NaN, "B": 0}'])
+def test_synth_rejects_bad_strengths_file(tmp_path, capsys, body):
+    strengths = tmp_path / "str.json"
+    strengths.write_text(body, encoding="utf-8")
+    out = tmp_path / "s.csv"
+    code = main(["synth", "--teams", "2", "--games-per-team", "4", "--seed", "3",
+                 "--strengths", str(strengths), "--out", str(out)])
+    assert code == 2
+    assert "--strengths" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_atomic_write_failure_leaves_no_partial_or_temp_file(tmp_path):
+    from seasoninfo.cli import _atomic_write
+
+    fresh = tmp_path / "fresh.csv"
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n", encoding="utf-8")
+    for path in (fresh, kept):
+        with pytest.raises(UnicodeEncodeError):  # a lone surrogate fails mid-write
+            _atomic_write(path, "a,b\n" * 1000 + "\ud800\n")
+    assert not fresh.exists()
+    assert kept.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+    _atomic_write(fresh, "a,b\n")
+    assert fresh.read_text(encoding="utf-8") == "a,b\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "kept.csv"]

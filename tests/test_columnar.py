@@ -1,0 +1,204 @@
+"""The array path that ``run_protocol`` takes against the public ``Game``
+path, bit for bit.
+
+``run_protocol`` encodes a season once and evaluates each cell on index
+arrays; ``make_split`` -> ``home_baseline``, ``fit_bt``/``fit_mov`` ->
+``predict_*`` -> decision rule -> ``info_metric`` is the reference
+semantics. The fitters' former constructions (two ``np.subtract.at``
+passes for the BT Hessian, the dense m x n design for the MOV normal
+equations) are restated here as references for the ones that replaced
+them.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+
+from seasoninfo import (
+    FitError,
+    ProtocolConfig,
+    SynthSpec,
+    fit_bt,
+    fit_mov,
+    generate_season,
+    home_baseline,
+    info_metric,
+    make_split,
+    predict_bt,
+    predict_mov,
+    run_protocol,
+)
+from seasoninfo.harness import evaluate_replicate
+from seasoninfo.ingest import encode_games
+from seasoninfo.models import (
+    _bt_hessian,
+    bt_predicts_home_win,
+    fit_mov_arrays,
+    mov_predicts_home_win,
+    score,
+)
+from conftest import game_from_margin, season_of
+from oracles import enum_home_baseline, enum_info_metric
+
+
+def _sign(margin: int) -> int:
+    return (margin > 0) - (margin < 0)
+
+
+def scalar_cell(season, config, fraction, replicate):
+    """One cell through the public Game-based functions."""
+    split = make_split(season, config, fraction, replicate)
+    baseline = home_baseline(split.test)
+    try:
+        bt = fit_bt(split.train, season.teams, penalty=config.bt_penalty,
+                    tol=config.bt_tol, max_iter=config.bt_max_iter)
+    except FitError:
+        bt_acc = None
+    else:
+        bt_acc = info_metric((bt_predicts_home_win(predict_bt(bt, g)), _sign(g.margin))
+                             for g in split.test)
+    mov = fit_mov(split.train, season.teams, penalty=config.mov_penalty)
+    mov_acc = info_metric((mov_predicts_home_win(predict_mov(mov, g)), _sign(g.margin))
+                          for g in split.test)
+    return bt_acc, mov_acc, baseline
+
+
+def _mean_sd(values):
+    arr = np.asarray(values, dtype=float)
+    if not len(arr):
+        return float("nan"), float("nan")
+    return float(arr.mean()), float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
+
+
+def _ties_season():
+    # NHL-like: a fifth of the games tied, including whole train sets'
+    # worth at small fractions.
+    spec = SynthSpec(n_teams=8, games_per_team=10, seed=5, home_adv=0.2,
+                     strength_sd=0.4, mov_scale=0.6, mov_noise_sd=1.2)
+    return generate_season(spec)[0]
+
+
+def _unseen_teams_season():
+    # 24 teams with 3 games each: a 12.5% train set leaves most teams unseen.
+    spec = SynthSpec(n_teams=24, games_per_team=3, seed=11, home_adv=0.3,
+                     strength_sd=1.0, mov_scale=7.0, mov_noise_sd=12.0)
+    return generate_season(spec)[0]
+
+
+def _no_decisive_season():
+    # Five ties and one decisive game: train sets without the decisive
+    # game make the BT fit fail.
+    games = [game_from_margin(i, "A", "B", 0) for i in range(1, 4)]
+    games += [game_from_margin(i, "B", "A", 0) for i in range(4, 6)]
+    games += [game_from_margin(6, "C", "A", 7)]
+    return season_of(games)
+
+
+SEASONS = {"ties": _ties_season, "unseen_teams": _unseen_teams_season,
+           "no_decisive_game": _no_decisive_season}
+
+
+@pytest.mark.parametrize("name", list(SEASONS))
+def test_every_cell_matches_the_scalar_path(name):
+    season = SEASONS[name]()
+    config = ProtocolConfig(x_grid=(0.125, 0.5, 0.875) if name != "no_decisive_game"
+                            else (0.5,), replicates=25, master_seed=17)
+    columns = encode_games(season.games, sorted(season.teams))
+    cells = {}
+    for f in config.x_grid:
+        for k in range(config.replicates):
+            got = evaluate_replicate(columns, len(season.teams), config, f, k)
+            want = scalar_cell(season, config, f, k)
+            assert repr(got) == repr(want), (f, k)
+            cells[f, k] = want
+    failures = sum(bt is None for bt, _, _ in cells.values())
+    if name == "no_decisive_game":
+        assert 0 < failures < config.replicates
+
+    for pt in run_protocol(season, config):
+        rows = [cells[pt.fraction, k] for k in range(config.replicates)]
+        bt = [r[0] for r in rows if r[0] is not None]
+        assert repr((pt.mean_bt_acc, pt.sd_bt_acc)) == repr(_mean_sd(bt))
+        assert repr((pt.mean_mov_acc, pt.sd_mov_acc)) == repr(_mean_sd([r[1] for r in rows]))
+        assert repr(pt.baseline_acc) == repr(float(np.mean([r[2] for r in rows])))
+        assert pt.bt_failures == len(rows) - len(bt)
+
+
+def test_score_matches_metric_enumeration():
+    """Criterion 8's patterns through the vectorized credit function."""
+    outcomes = (-1, 0, 1)
+    for pattern in itertools.product(outcomes, repeat=4):
+        games = [game_from_margin(i + 1, "H", "A", 3 * o) for i, o in enumerate(pattern)]
+        expected = enum_home_baseline(pattern)
+        assert score(True, [3 * o for o in pattern]) == home_baseline(games) == expected
+    cells = list(itertools.product([True, False], outcomes))
+    for combo in itertools.product(cells, repeat=4):
+        called = np.array([c for c, _ in combo])
+        margins = np.array([7 * o for _, o in combo])
+        assert score(called, margins) == info_metric(combo) == enum_info_metric(combo)
+
+
+def _random_games(rng, n_teams, m, tie_share=0.2):
+    h = rng.integers(0, n_teams, m)
+    a = (h + 1 + rng.integers(0, n_teams - 1, m)) % n_teams
+    margin = rng.integers(-9, 10, m)
+    margin[rng.random(m) < tie_share] = 0
+    return h.astype(np.intp), a.astype(np.intp), margin
+
+
+def test_bt_hessian_equals_subtract_at_construction():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        h, a, _ = _random_games(rng, n, int(rng.integers(1, 60)))
+        pi = rng.uniform(0.01, 0.99, len(h))
+        penalty = float(rng.uniform(0.1, 3.0))
+        wt = pi * (1.0 - pi)
+        ref = np.zeros((n + 1, n + 1))
+        dh = np.bincount(h, weights=wt, minlength=n)
+        da = np.bincount(a, weights=wt, minlength=n)
+        ref[np.arange(n), np.arange(n)] = dh + da
+        np.subtract.at(ref, (h, a), wt)
+        np.subtract.at(ref, (a, h), wt)
+        ref[:n, n] = dh - da
+        ref[n, :n] = ref[:n, n]
+        ref[n, n] = wt.sum()
+        ref[np.arange(n + 1), np.arange(n + 1)] += penalty
+        got = _bt_hessian(pi, h, a, n, penalty)
+        assert got.tobytes() == ref.tobytes()
+
+
+def dense_mov_coef(h, a, margin, n_teams, penalty):
+    """Margin fit from the dense m x n reduced design and X'X, X'y."""
+    seen = np.unique(np.concatenate([h, a]))
+    local = {t: i for i, t in enumerate(seen)}
+    hl = np.array([local[t] for t in h])
+    al = np.array([local[t] for t in a])
+    n, m, last = len(seen), len(h), len(seen) - 1
+    X = np.zeros((m, n))
+    rows = np.arange(m)
+    X[rows[hl != last], hl[hl != last]] += 1.0
+    X[rows[hl == last], :last] -= 1.0
+    X[rows[al != last], al[al != last]] -= 1.0
+    X[rows[al == last], :last] += 1.0
+    X[:, -1] = 1.0
+    P = np.zeros((n, n))
+    P[:last, :last] = penalty * (np.eye(last) + np.ones((last, last)))
+    coef = np.linalg.solve(X.T @ X + P, X.T @ margin.astype(float))
+    full = np.zeros(n_teams + 1)
+    full[seen] = np.append(coef[:last], -coef[:last].sum())
+    full[-1] = coef[-1]
+    return full
+
+
+def test_mov_fit_equals_dense_design_solution():
+    rng = np.random.default_rng(1997)
+    for _ in range(300):
+        n_teams = int(rng.integers(2, 14))
+        h, a, margin = _random_games(rng, n_teams, int(rng.integers(1, 80)))
+        penalty = float(rng.uniform(0.05, 3.0))
+        got, _ = fit_mov_arrays(h, a, margin, n_teams, penalty)
+        assert got.tobytes() == dense_mov_coef(h, a, margin, n_teams, penalty).tobytes()
