@@ -21,7 +21,6 @@ from .harness import (
     Split,
     home_baseline,
     make_split,
-    make_splits,
     run_protocol,
 )
 from .ingest import (
@@ -73,7 +72,6 @@ __all__ = [
     "info_metric",
     "informativeness_ratio",
     "make_split",
-    "make_splits",
     "odds_ratio",
     "parse_season",
     "predict_bt",

@@ -224,8 +224,16 @@ def read_curve_file(path) -> list[CurveRow]:
 
 def cmd_summary(args) -> int:
     rows: list[CurveRow] = []
+    first_seen: dict[tuple[str, str, float], str] = {}
     for p in args.inputs:
-        rows.extend(read_curve_file(p))
+        for row in read_curve_file(p):
+            key = (row.league, row.season, row.fraction)
+            if key in first_seen:
+                raise ParseError(f"{p}: duplicate curve row for league {row.league}, season "
+                                 f"{row.season}, fraction {fmt6(row.fraction)} "
+                                 f"(first in {first_seen[key]})")
+            first_seen[key] = p
+            rows.append(row)
 
     by_league: dict[str, list[CurveRow]] = {}
     for r in rows:

@@ -10,26 +10,24 @@ worker processes evaluate it.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
-from .errors import ConfigError, FitError
+from .errors import ConfigError
+from .batch import fit_bt_batch, fit_mov_batch, linear_predictor, win_probability
 from .ingest import Game, Season, encode_games
-from .models import (
-    bt_predicts_home_win,
-    fit_bt_arrays,
-    fit_mov_arrays,
-    linear_predictor,
-    mov_predicts_home_win,
-    score,
-    win_probability,
-)
+from .models import bt_predicts_home_win, mov_predicts_home_win, score
 
 DEFAULT_X_GRID = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
+# Season games per work unit, summed over its replicates. A unit pays numpy's
+# per-call overhead once for all its replicates; its temporaries (per-game
+# arrays and stacked team-by-team systems) grow with it, and at this size
+# they peak near 0.6 MB on 16- to 162-game seasons.
+BUDGET = 5000
 
 
 @dataclass(frozen=True)
@@ -51,6 +49,11 @@ class ProtocolConfig:
                 raise ConfigError(f"fraction {f} is not strictly between 0 and 1")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
+        if not (math.isfinite(self.bt_penalty) and self.bt_penalty > 0):
+            raise ConfigError(f"bt_penalty must be finite and positive, got {self.bt_penalty}")
+        if not (math.isfinite(self.mov_penalty) and self.mov_penalty >= 0):
+            raise ConfigError(
+                f"mov_penalty must be finite and non-negative, got {self.mov_penalty}")
 
 
 @dataclass(frozen=True)
@@ -93,30 +96,24 @@ def train_size(fraction: float, n_games: int) -> int:
     return m
 
 
-def _train_mask(n_games: int, config: ProtocolConfig, fraction: float, replicate: int):
-    """Boolean mask of one cell's training games, and the cell's seed."""
+def _split_indices(n_games: int, config: ProtocolConfig, fraction: float, replicates):
+    """Train and test game indices, ascending, one row per listed replicate."""
     m = train_size(fraction, n_games)
-    seed = split_seed(config.master_seed, fraction, replicate)
-    perm = np.random.default_rng(seed).permutation(n_games)
-    chosen = np.zeros(n_games, dtype=bool)
-    chosen[perm[:m]] = True
-    return chosen, seed
+    chosen = np.zeros((len(replicates), n_games), dtype=bool)
+    for row, k in zip(chosen, replicates):
+        rng = np.random.default_rng(split_seed(config.master_seed, fraction, k))
+        row[rng.permutation(n_games)[:m]] = True
+    games = np.broadcast_to(np.arange(n_games), chosen.shape)
+    return games[chosen].reshape(len(chosen), m), games[~chosen].reshape(len(chosen), -1)
 
 
 def make_split(season: Season, config: ProtocolConfig, fraction: float,
                replicate: int) -> Split:
-    chosen, seed = _train_mask(len(season.games), config, fraction, replicate)
-    return Split(train=tuple(compress(season.games, chosen)),
-                 test=tuple(compress(season.games, ~chosen)),
-                 fraction=fraction, replicate_index=replicate, seed=seed)
-
-
-def make_splits(season: Season, config: ProtocolConfig) -> list[Split]:
-    return [
-        make_split(season, config, f, k)
-        for f in config.x_grid
-        for k in range(config.replicates)
-    ]
+    train, test = _split_indices(len(season.games), config, fraction, [replicate])
+    return Split(train=tuple(season.games[i] for i in train[0].tolist()),
+                 test=tuple(season.games[i] for i in test[0].tolist()),
+                 fraction=fraction, replicate_index=replicate,
+                 seed=split_seed(config.master_seed, fraction, replicate))
 
 
 def home_baseline(test) -> float:
@@ -127,26 +124,26 @@ def home_baseline(test) -> float:
     return score(True, [g.margin for g in games])
 
 
-def evaluate_replicate(columns, n_teams: int, config: ProtocolConfig, fraction: float,
-                       replicate: int) -> tuple[float | None, float, float]:
-    """BT accuracy (None if its fit failed), MOV accuracy and home-pick baseline
-    of one cell; ``columns`` is ``encode_games`` of the season over its sorted teams."""
-    chosen, _ = _train_mask(len(columns[2]), config, fraction, replicate)
-    train = [col[chosen] for col in columns]
-    home, away, margin = (col[~chosen] for col in columns)
+def evaluate_chunk(columns, n_teams: int, config: ProtocolConfig, fraction: float,
+                   replicates) -> list[tuple[float | None, float, float]]:
+    """BT accuracy (None if its fit failed), MOV accuracy and home-pick
+    baseline of each listed replicate of one fraction; ``columns`` is
+    ``encode_games`` of the season over its sorted teams. The replicates
+    are fitted together, each exactly as it would be alone."""
+    train_idx, test_idx = _split_indices(len(columns[2]), config, fraction, replicates)
+    train = [col[train_idx] for col in columns]
+    home, away, margin = (col[test_idx] for col in columns)
+    del train_idx, test_idx
 
-    try:
-        coef, _, _ = fit_bt_arrays(*train, n_teams, penalty=config.bt_penalty,
-                                   tol=config.bt_tol, max_iter=config.bt_max_iter)
-    except FitError:
-        bt_acc = None
-    else:
-        pi = win_probability(linear_predictor(coef, home, away))
-        bt_acc = score(bt_predicts_home_win(pi), margin)
-
-    coef, _ = fit_mov_arrays(*train, n_teams, penalty=config.mov_penalty)
+    coef = fit_mov_batch(*train, n_teams, penalty=config.mov_penalty)
     mov_acc = score(mov_predicts_home_win(linear_predictor(coef, home, away)), margin)
-    return bt_acc, mov_acc, score(True, margin)
+    coef, _, gnorm = fit_bt_batch(*train, n_teams, penalty=config.bt_penalty,
+                                  tol=config.bt_tol, max_iter=config.bt_max_iter)
+    del train
+    pi = win_probability(linear_predictor(coef, home, away))
+    bt_acc = score(bt_predicts_home_win(pi), margin)
+    return [(bt if ok else None, mov, base) for bt, ok, mov, base
+            in zip(bt_acc, (gnorm <= config.bt_tol).tolist(), mov_acc, score(True, margin))]
 
 
 _WORKER_STATE: tuple | None = None
@@ -157,8 +154,19 @@ def _worker_init(columns, n_teams: int, config: ProtocolConfig) -> None:
     _WORKER_STATE = (columns, n_teams, config)
 
 
-def _worker_eval(task: tuple[float, int]):
-    return evaluate_replicate(*_WORKER_STATE, task[0], task[1])
+def _worker_eval(task: tuple[float, range]):
+    return evaluate_chunk(*_WORKER_STATE, *task)
+
+
+def _chunks(config: ProtocolConfig, n_games: int, jobs: int) -> list[tuple[float, range]]:
+    """(fraction, replicates) work units. A unit holds about BUDGET games
+    over its replicates; with workers, each fraction splits into at least
+    two units per worker so that a one-fraction call keeps them all busy."""
+    size = max(1, BUDGET // n_games)
+    if jobs > 1:
+        size = min(size, -(-config.replicates // (2 * jobs)))
+    return [(f, range(lo, min(lo + size, config.replicates)))
+            for f in config.x_grid for lo in range(0, config.replicates, size)]
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:
@@ -183,14 +191,16 @@ def run_protocol(season: Season, config: ProtocolConfig, jobs: int = 1) -> list[
         train_size(f, n)  # fail before any work starts
     state = (encode_games(season.games, sorted(season.teams)), len(season.teams), config)
 
-    tasks = [(f, k) for f in config.x_grid for k in range(config.replicates)]
+    tasks = _chunks(config, n, jobs)
     if jobs > 1:
-        chunk = max(1, len(tasks) // (jobs * 4))
         with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
                                  initargs=state) as pool:
-            results = dict(zip(tasks, pool.map(_worker_eval, tasks, chunksize=chunk)))
+            cells = pool.map(_worker_eval, tasks)
+            results = {(f, k): cell for (f, ks), chunk in zip(tasks, cells)
+                       for k, cell in zip(ks, chunk)}
     else:
-        results = {(f, k): evaluate_replicate(*state, f, k) for f, k in tasks}
+        results = {(f, k): cell for f, ks in tasks
+                   for k, cell in zip(ks, evaluate_chunk(*state, f, ks))}
 
     games_per_team = 2.0 * n / len(season.teams)
     points = []

@@ -7,7 +7,8 @@ is fit by damped Newton on a ridge-penalized log-likelihood (the penalty
 keeps tiny, separated training sets well-posed); the margin model has a
 closed-form penalized least-squares solution.
 
-Fits and scoring work on games in columnar form (``encode_games``); the
+Fits and scoring work on games in columnar form (``encode_games``). The
+fits are single-row calls of the many-replicate fits in ``batch``; the
 ``Game``-based public functions encode their arguments and call them.
 """
 
@@ -18,12 +19,19 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .batch import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_PENALTY,
+    DEFAULT_TOL,
+    _bt_evaluate,
+    _runs,
+    fit_bt_batch,
+    fit_mov_batch,
+    linear_predictor,
+    win_probability,
+)
 from .errors import FitError
 from .ingest import Game, encode_games
-
-DEFAULT_PENALTY = 1.0
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -58,24 +66,6 @@ def _encode_train(train: Sequence[Game], teams):
         raise ValueError(f"team {exc.args[0]!r} is outside the team set") from None
 
 
-def _seen(home, away, n_teams: int):
-    """Teams that play in the games, sorted, and the games re-indexed over them."""
-    played = (np.bincount(home, minlength=n_teams) + np.bincount(away, minlength=n_teams)) > 0
-    local = np.cumsum(played) - 1
-    return np.flatnonzero(played), local[home], local[away]
-
-
-def linear_predictor(coef, home, away):
-    """Home edge ``strength(home) - strength(away) + home_adv`` of each game,
-    for ``coef`` holding one strength per team and then the home advantage."""
-    return coef[home] - coef[away] + coef[-1]
-
-
-def win_probability(eta):
-    """Home-win probability for home edge(s) ``eta`` on the logit scale."""
-    return 1.0 / (1.0 + np.exp(-eta))
-
-
 def bt_objective_gradient(train: Sequence[Game], teams, strengths: Mapping[str, float],
                           home_adv: float, penalty: float):
     """Penalized log-likelihood and its full gradient at given parameters.
@@ -84,51 +74,12 @@ def bt_objective_gradient(train: Sequence[Game], teams, strengths: Mapping[str, 
     advantage. Tied games are ignored, exactly as in fitting.
     """
     order = sorted(set(teams))
-    home, away, margin = encode_games(train, order)
-    d = margin != 0  # decisive games
-    theta = np.array([strengths[t] for t in order] + [home_adv], dtype=float)
-    obj, grad, _ = _bt_obj_grad(theta, home[d], away[d], (margin[d] > 0).astype(float), penalty)
-    return obj, grad
-
-
-def _bt_obj_grad(theta, h, a, w, penalty):
-    """Objective, gradient, and the win probabilities both came from."""
-    n = len(theta) - 1
-    beta, alpha = theta[:n], theta[n]
-    eta = beta[h] - beta[a] + alpha
-    # log pi = -log(1 + e^-eta), log(1-pi) = -log(1 + e^eta)
-    loglik = -(w * np.logaddexp(0.0, -eta) + (1.0 - w) * np.logaddexp(0.0, eta)).sum()
-    obj = loglik - 0.5 * penalty * (beta @ beta + alpha * alpha)
-    pi = win_probability(eta)
-    r = w - pi
-    g_beta = np.bincount(h, weights=r, minlength=n) - np.bincount(a, weights=r, minlength=n)
-    grad = np.empty(n + 1)
-    grad[:n] = g_beta - penalty * beta
-    grad[n] = r.sum() - penalty * alpha
-    return obj, grad, pi
-
-
-def _bt_hessian(pi, h, a, n, penalty):
-    """Negated Hessian of the penalized log-likelihood (positive definite).
-
-    One bincount over the keys ``h*n + a`` then ``a*n + h`` adds each
-    pair's weights in the order of a pass over (h, a) and then one over
-    (a, h), so the sums are the same floats either way.
-    """
-    wt = pi * (1.0 - pi)
-    H = np.zeros((n + 1, n + 1))
-    pair_keys = np.concatenate([h * n + a, a * n + h])
-    pair_wt = np.bincount(pair_keys, weights=np.concatenate([wt, wt]), minlength=n * n)
-    H[:n, :n] -= pair_wt.reshape(n, n)
-    dh = np.bincount(h, weights=wt, minlength=n)
-    da = np.bincount(a, weights=wt, minlength=n)
-    diagonal = H.reshape(-1)[::n + 2]  # a view
-    diagonal[:n] = dh + da
-    H[:n, n] = dh - da
-    H[n, :n] = H[:n, n]
-    H[n, n] = wt.sum()
-    diagonal += penalty
-    return H
+    home, away, margin = (col[None] for col in encode_games(train, order))
+    theta = np.array([[strengths[t] for t in order] + [home_adv]], dtype=float)
+    sizes = np.array([len(order)])
+    obj, grad, _, _ = _bt_evaluate(theta, home, away, (margin > 0).astype(float), margin != 0,
+                                   sizes, _runs(sizes), penalty)
+    return float(obj[0]), grad[0]
 
 
 def fit_bt_arrays(home, away, margin, n_teams: int, penalty: float = DEFAULT_PENALTY,
@@ -136,39 +87,11 @@ def fit_bt_arrays(home, away, margin, n_teams: int, penalty: float = DEFAULT_PEN
     """``fit_bt`` on columnar games over ``n_teams`` teams. Returns the
     coefficients (one strength per team, then the home advantage), the
     Newton iterations and the final gradient norm."""
-    if penalty <= 0:
-        raise ValueError("penalty must be positive")
-    decisive = margin != 0
-    if not decisive.any():
+    coef, iterations, gnorm = fit_bt_batch(home[None], away[None], margin[None], n_teams,
+                                           penalty, tol, max_iter)
+    iterations, gnorm = int(iterations[0]), float(gnorm[0])
+    if np.isnan(gnorm):
         raise FitError("training set has no decisive (non-tied) games")
-    seen, h, a = _seen(home[decisive], away[decisive], n_teams)
-    w = (margin[decisive] > 0).astype(float)
-    n = len(seen)
-
-    theta = np.zeros(n + 1)
-    obj, grad, pi = _bt_obj_grad(theta, h, a, w, penalty)
-    gnorm = float(np.sqrt(grad @ grad))  # np.linalg.norm's own formula, less overhead
-    iterations = 0
-    while gnorm > tol and iterations < max_iter:
-        step = np.linalg.solve(_bt_hessian(pi, h, a, n, penalty), grad)
-        # Newton steps from a centered iterate stay centered; re-center
-        # anyway to shed float drift. A step counts as progress if it
-        # raises the objective or, once objective changes fall below
-        # float resolution near the optimum, shrinks the gradient.
-        scale = 1.0
-        while scale > 1e-12:
-            cand = theta + scale * step
-            cand[:n] -= cand[:n].sum() / n
-            cand_obj, cand_grad, cand_pi = _bt_obj_grad(cand, h, a, w, penalty)
-            cand_gnorm = float(np.sqrt(cand_grad @ cand_grad))
-            if cand_obj > obj or cand_gnorm < gnorm:
-                theta, obj, grad, gnorm, pi = cand, cand_obj, cand_grad, cand_gnorm, cand_pi
-                break
-            scale *= 0.5
-        else:
-            break  # no progress possible; gradient check below decides
-        iterations += 1
-
     if gnorm > tol:
         raise FitError(
             f"Newton did not converge in {iterations} iterations "
@@ -176,9 +99,7 @@ def fit_bt_arrays(home, away, margin, n_teams: int, penalty: float = DEFAULT_PEN
             iterations=iterations,
             gradient_norm=gnorm,
         )
-    coef = np.zeros(n_teams + 1)  # unseen teams keep strength 0
-    coef[np.append(seen, n_teams)] = theta
-    return coef, iterations, gnorm
+    return coef[0], iterations, gnorm
 
 
 def fit_bt(train: Sequence[Game], teams, penalty: float = DEFAULT_PENALTY,
@@ -201,44 +122,9 @@ def fit_mov_arrays(home, away, margin, n_teams: int, penalty: float = DEFAULT_PE
     """``fit_mov`` on columnar games over ``n_teams`` teams. Returns the
     coefficients (one strength per team, then the home advantage) and the
     residual standard deviation."""
-    if penalty < 0:
-        raise ValueError("penalty must be non-negative")
-    seen, h, a = _seen(home, away, n_teams)
-    n, m, last = len(seen), len(h), len(seen) - 1
-    y = margin.astype(float)
-
-    # Coordinates: 0..last-1 the strengths of the first n-1 seen teams,
-    # ``last`` the home advantage, n the last seen team's strength. A
-    # game's design row is e_home - e_away + e_adv, so the normal equations
-    # are the schedule's graph Laplacian bordered by home-minus-away counts
-    # (Massey 1997). Every entry is an integer, exact in any summation order.
-    hc, ac = np.where(h == last, n, h), np.where(a == last, n, a)
-    k = n + 1
-    pairs = np.bincount(hc * k + ac, minlength=k * k).reshape(k, k)
-    home_n, away_n = np.bincount(hc, minlength=k), np.bincount(ac, minlength=k)
-    G = (-(pairs + pairs.T)).astype(float)
-    G.flat[::k + 1] = home_n + away_n
-    G[last] = G[:, last] = home_n - away_n
-    G[last, last] = m
-    g = np.bincount(hc, y, k) - np.bincount(ac, y, k)
-    g[last] = y.sum()
-    # Strengths sum to zero: substituting the last one as the negated sum
-    # of the others leaves the reduced system in the first n coordinates.
-    G[:last] -= G[n]
-    G[:, :last] -= G[:, n:]
-    g[:last] -= g[n]
-    A, b = G[:n, :n], g[:n]
-    # penalty * sum(delta_i^2) in reduced coordinates is I + ones*ones^T
-    A[:last, :last] += penalty * (np.eye(last) + np.ones((last, last)))
-    try:
-        coef = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        coef = np.linalg.lstsq(A, b, rcond=None)[0]
-
-    full = np.zeros(n_teams + 1)  # unseen teams keep strength 0
-    full[np.append(seen[:last], [n_teams, seen[last]])] = np.append(coef, -coef[:last].sum())
-    resid = y - linear_predictor(full, home, away)
-    return full, float(np.sqrt((resid @ resid) / m))
+    coef = fit_mov_batch(home[None], away[None], margin[None], n_teams, penalty)
+    resid = margin.astype(float) - linear_predictor(coef, home[None], away[None])[0]
+    return coef[0], float(np.sqrt((resid @ resid) / len(margin)))
 
 
 def fit_mov(train: Sequence[Game], teams, penalty: float = DEFAULT_PENALTY) -> MovFit:
@@ -283,10 +169,11 @@ def mov_predicts_home_win(mu):
 def score(predicts_home_win, margin) -> float:
     """Mean credit of home-win calls against home margins (or their signs):
     1 for calling the winner, 0 for calling the loser and 0.5 for a tie
-    whatever was called. A single call applies to every game."""
+    whatever was called. A single call applies to every game. Rows of 2-D
+    arguments score separately, into a list."""
     margin = np.asarray(margin)
     credit = np.where(margin == 0, 0.5, (margin > 0) == predicts_home_win)
-    return float(credit.sum() / len(credit))
+    return (credit.sum(axis=-1) / credit.shape[-1]).tolist()
 
 
 def info_metric(predictions: Iterable[tuple[bool, int]]) -> float:

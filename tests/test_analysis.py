@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seasoninfo import (
+    BreakpointFit,
     CurveRow,
     constrained_slope,
     fit_breakpoint,
@@ -13,6 +14,7 @@ from seasoninfo import (
     odds_ratio,
     summarize_league,
 )
+from seasoninfo.analysis import BREAKPOINT_MIN_IMPROVEMENT
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 
@@ -84,6 +86,33 @@ class TestInformativenessRatio:
             informativeness_ratio(1.0, 0.0)
 
 
+def exact_grid_breakpoint(points):
+    """``fit_breakpoint`` as an exact least-squares fit at every grid point."""
+    pts = sorted(points)
+    xs = np.array([p[0] for p in pts], dtype=float)
+    ys = np.array([p[1] for p in pts], dtype=float)
+    x_min, x_max = xs[0], xs[-1]
+    step = (x_max - x_min) / 1000.0
+    line_design = np.column_stack([np.ones_like(xs), xs])
+    line_coef = np.linalg.lstsq(line_design, ys, rcond=None)[0]
+    line_resid = ys - line_design @ line_coef
+    line_sse = float(line_resid @ line_resid)
+    best = None
+    for j in range(1, 1000):
+        psi = x_min + j * step
+        design = np.column_stack([np.ones_like(xs), xs, np.maximum(xs - psi, 0.0)])
+        coef = np.linalg.lstsq(design, ys, rcond=None)[0]
+        resid = ys - design @ coef
+        sse = float(resid @ resid)
+        if best is None or sse < best[0]:
+            best = (sse, psi, coef)
+    sse, psi, coef = best
+    return BreakpointFit(psi=float(psi), slope_left=float(coef[1]),
+                         slope_right=float(coef[1] + coef[2]), sse=sse,
+                         intercept=float(coef[0]), line_sse=line_sse,
+                         meaningful=(line_sse - sse) > BREAKPOINT_MIN_IMPROVEMENT)
+
+
 class TestFitBreakpoint:
     def test_recovers_exact_two_segment_data(self):
         xs = np.arange(5.0, 81.0, 5.0)
@@ -116,6 +145,27 @@ class TestFitBreakpoint:
             fit_breakpoint([(1.0, 0.5), (2.0, 0.6), (3.0, 0.7)])
         with pytest.raises(ValueError):
             fit_breakpoint([(1.0, 0.5), (2.0, 0.6), (2.0, 0.7), (2.0, 0.8)])
+
+    def test_matches_exact_fit_at_every_grid_point(self):
+        """The one-pass grid returns, repr for repr, what an exact
+        least-squares fit at each of the 999 candidates returns."""
+        rng = np.random.default_rng(2003)
+        curves = []
+        for _ in range(300):
+            n = int(rng.integers(4, 15))
+            xs = np.sort(rng.uniform(0.0, 100.0, n))
+            ys = rng.uniform(0.45, 0.8, n)
+            curves.append(list(zip(xs, ys)))
+        xs = np.arange(5.0, 81.0, 5.0)
+        for knee in (12.0, 30.0, 30.1, 77.0):
+            curves.append(list(zip(xs, 0.5 + 0.004 * np.minimum(xs, knee))))
+        curves.append(list(zip(xs, 0.5 + 0.002 * xs)))
+        curves.append(list(zip(xs, np.full(len(xs), 0.6))))
+        gpt = np.array([10.25, 20.5, 30.75, 41.0, 51.25, 61.5, 71.75])
+        curves.append(list(zip(gpt, 0.70 - 0.13 * np.exp(-gpt / 15.0))))
+        curves.append([(1.0, 0.5), (1.0, 0.55), (2.0, 0.6), (3.0, 0.62), (4.0, 0.63)])
+        for pts in curves:
+            assert repr(fit_breakpoint(pts)) == repr(exact_grid_breakpoint(pts))
 
     @given(st.lists(st.tuples(st.floats(0, 100), probs), min_size=4, max_size=12,
                     unique_by=lambda p: p[0]))

@@ -200,6 +200,31 @@ def test_summary_rejects_malformed_curve_file(tmp_path, capsys):
     assert "bad_curve.csv" in capsys.readouterr().err
 
 
+def test_summary_rejects_duplicate_rows_and_writes_nothing(tmp_path, capsys):
+    curve = summary_curve_file(tmp_path)
+    out = tmp_path / "report"
+    code = main(["summary", str(curve), str(curve), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "duplicate curve row" in err and "Traceback" not in err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [curve.name]
+
+
+@pytest.mark.parametrize("flag,value", [("--bt-penalty", "0"), ("--bt-penalty", "-1"),
+                                        ("--bt-penalty", "nan"), ("--mov-penalty", "-1"),
+                                        ("--mov-penalty", "nan")])
+def test_curve_rejects_bad_penalty(tmp_path, capsys, flag, value):
+    src = toy_csv(tmp_path)
+    out = tmp_path / "c.csv"
+    code = main(["curve", str(src), "--league", "NFL", "--x-grid", "0.5", "--replicates", "2",
+                 flag, value, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert flag.lstrip("-").replace("-", "_") in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [src.name]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["curve"])  # missing required arguments

@@ -7,7 +7,8 @@ arrays; ``make_split`` -> ``home_baseline``, ``fit_bt``/``fit_mov`` ->
 semantics. The fitters' former constructions (two ``np.subtract.at``
 passes for the BT Hessian, the dense m x n design for the MOV normal
 equations) are restated here as references for the ones that replaced
-them.
+them. Replicates fitted together in chunks must match, bit for bit, the
+same replicates fitted one at a time.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from seasoninfo import (
     predict_mov,
     run_protocol,
 )
-from seasoninfo.harness import evaluate_replicate
+from seasoninfo.harness import _split_indices, evaluate_chunk
 from seasoninfo.ingest import encode_games
+from seasoninfo.batch import _bt_hessian, fit_bt_batch, fit_mov_batch
 from seasoninfo.models import (
-    _bt_hessian,
     bt_predicts_home_win,
     fit_mov_arrays,
     mov_predicts_home_win,
@@ -109,8 +110,12 @@ def test_every_cell_matches_the_scalar_path(name):
     columns = encode_games(season.games, sorted(season.teams))
     cells = {}
     for f in config.x_grid:
+        chunked = {}
+        for lo in range(0, config.replicates, 7):
+            ks = range(lo, min(lo + 7, config.replicates))
+            chunked.update(zip(ks, evaluate_chunk(columns, len(season.teams), config, f, ks)))
         for k in range(config.replicates):
-            got = evaluate_replicate(columns, len(season.teams), config, f, k)
+            got = chunked[k]
             want = scalar_cell(season, config, f, k)
             assert repr(got) == repr(want), (f, k)
             cells[f, k] = want
@@ -167,7 +172,7 @@ def test_bt_hessian_equals_subtract_at_construction():
         ref[n, :n] = ref[:n, n]
         ref[n, n] = wt.sum()
         ref[np.arange(n + 1), np.arange(n + 1)] += penalty
-        got = _bt_hessian(pi, h, a, n, penalty)
+        got = _bt_hessian(pi[None], h[None], a[None], n, penalty)[0]
         assert got.tobytes() == ref.tobytes()
 
 
@@ -202,3 +207,34 @@ def test_mov_fit_equals_dense_design_solution():
         penalty = float(rng.uniform(0.05, 3.0))
         got, _ = fit_mov_arrays(h, a, margin, n_teams, penalty)
         assert got.tobytes() == dense_mov_coef(h, a, margin, n_teams, penalty).tobytes()
+
+
+def _train_rows(season, config, fraction):
+    columns = encode_games(season.games, sorted(season.teams))
+    train, _ = _split_indices(len(season.games), config, fraction, range(config.replicates))
+    return [col[train] for col in columns]
+
+
+@pytest.mark.parametrize("name", list(SEASONS))
+def test_chunked_fits_match_one_replicate_fits(name):
+    season = SEASONS[name]()
+    n_teams = len(season.teams)
+    config = ProtocolConfig(replicates=100, master_seed=23)
+    fractions = config.x_grid if name != "no_decisive_game" else (0.5,)
+    for f in fractions:
+        rows = _train_rows(season, config, f)
+        alone = [fit_bt_batch(*(col[k:k + 1] for col in rows), n_teams) for k in range(100)]
+        alone_mov = [fit_mov_batch(*(col[k:k + 1] for col in rows), n_teams) for k in range(100)]
+        for size in (3, 100):
+            for lo in range(0, 100, size):
+                part = [col[lo:lo + size] for col in rows]
+                coef, iterations, gnorm = fit_bt_batch(*part, n_teams)
+                mov = fit_mov_batch(*part, n_teams)
+                for i, k in enumerate(range(lo, min(lo + size, 100))):
+                    want_coef, want_iter, want_norm = alone[k]
+                    assert coef[i].tobytes() == want_coef[0].tobytes(), (f, k, size)
+                    assert iterations[i] == want_iter[0], (f, k, size)
+                    assert gnorm[i:i + 1].tobytes() == want_norm.tobytes(), (f, k, size)
+                    assert mov[i].tobytes() == alone_mov[k][0].tobytes(), (f, k, size)
+        failed = [np.isnan(norm[0]) for _, _, norm in alone]
+        assert any(failed) == (name == "no_decisive_game")

@@ -10,7 +10,6 @@ from seasoninfo import (
     generate_season,
     home_baseline,
     make_split,
-    make_splits,
     run_protocol,
     summarize_season,
 )
@@ -67,7 +66,9 @@ def test_split_regeneration_is_identical(toy_16_game_season):
 def test_all_splits_satisfy_partition_invariant(toy_16_game_season):
     config = ProtocolConfig(replicates=10, master_seed=5)
     all_ids = {g.game_id for g in toy_16_game_season.games}
-    for split in make_splits(toy_16_game_season, config):
+    splits = [make_split(toy_16_game_season, config, f, k)
+              for f in config.x_grid for k in range(config.replicates)]
+    for split in splits:
         train_ids = {g.game_id for g in split.train}
         test_ids = {g.game_id for g in split.test}
         assert not train_ids & test_ids
@@ -80,7 +81,9 @@ def test_game_membership_frequencies_are_binomial():
     season = season_of(games)
     config = ProtocolConfig(x_grid=(0.125,), replicates=100, master_seed=2027)
     counts = {g.game_id: 0 for g in season.games}
-    for split in make_splits(season, config):
+    splits = [make_split(season, config, f, k)
+              for f in config.x_grid for k in range(config.replicates)]
+    for split in splits:
         for g in split.train:
             counts[g.game_id] += 1
     # Each game lands in a 32-of-256 train set, so counts are
