@@ -2,11 +2,10 @@
 
 Each row of (K, m) game columns (``encode_games`` indices and margins) is
 one replicate's training set. The win/loss fit runs damped Newton in
-lockstep over the rows, each row with its own step halving; the margin
-fit solves the rows' normal equations as stacked systems. Rows are
-grouped by their number of seen teams, so every system a row meets has
-its one-row size, and every per-row sum runs in its one-row order: a
-row's result is, bit for bit, the one it gets when fitted alone.
+lockstep over the rows, each with its own step halving; the margin fit
+solves stacked normal equations. Rows are grouped by their number of seen
+teams and every per-row sum runs in its one-row order, so a row's result
+is, bit for bit, the one it gets when fitted alone.
 """
 
 from __future__ import annotations
@@ -16,38 +15,34 @@ import numpy as np
 DEFAULT_PENALTY = 1.0
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
+CAP = 32  # rows per stacked (n+1, n+1) Hessian or normal-equation solve
 
 
-def _seen_rows(home, away, counted, n_teams: int):
+def _seen_rows(home, away, n_teams: int, counted=None):
     """Per row of (K, m) game columns: which teams play in the ``counted``
-    games, and each team's index among the row's seen teams (valid only
-    for seen teams)."""
+    games (default all), and each seen team's index among them."""
     off = (np.arange(len(home)) * n_teams)[:, None]
-    plays = (np.bincount((home + off)[counted], minlength=off.size * n_teams)
-             + np.bincount((away + off)[counted], minlength=off.size * n_teams))
+    plays = 0
+    for side in (home, away):
+        keys = side + off
+        plays = plays + np.bincount(keys.ravel() if counted is None else keys[counted],
+                                    minlength=off.size * n_teams)
     played = plays.reshape(-1, n_teams) > 0
     return played, np.cumsum(played, axis=1) - 1
 
 
-def _by_size(sizes):
-    """Row order by ascending size, ties in row order (a stable sort)."""
-    sizes = sizes.tolist()
-    return np.array(sorted(range(len(sizes)), key=sizes.__getitem__), dtype=np.intp)
-
-
-def _runs(sizes):
+def _runs(sizes, cap=None):
     """``(size, rows)`` for each run of equal values in sorted ``sizes``,
-    ``rows`` a slice."""
-    if not len(sizes):
-        return []
+    ``rows`` a slice of at most ``cap`` rows (default: the whole run)."""
     cuts = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), len(sizes)]
-    return [(int(sizes[lo]), slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+    step = cap or max(len(sizes), 1)
+    return [(int(sizes[lo]), slice(i, min(i + step, hi)))
+            for lo, hi in zip(cuts, cuts[1:]) for i in range(lo, hi, step)]
 
 
 def _row_dots(x, runs, extra=0):
-    """``v @ v`` for ``v = x[i, :size + extra]``, row i in a run of ``size``.
-    A run's rows go through one stacked matmul, which calls the BLAS dot a
-    lone vector gets, so each value is the one-row value."""
+    """``v @ v`` for ``v = x[i, :size + extra]``, row i in a run of ``size``,
+    by one stacked matmul per run: the BLAS dot a lone vector gets."""
     out = np.empty(len(x))
     for n, rows in runs:
         v = x[rows, :n + extra]
@@ -60,69 +55,73 @@ def linear_predictor(coef, home, away):
     for each row of ``coef`` (one strength per team, then the home
     advantage) and the games in the same row of ``home``, ``away``."""
     rows = np.arange(len(coef))[:, None]
-    return coef[rows, home] - coef[rows, away] + coef[:, -1:]
+    eta = coef[rows, home]
+    eta -= coef[rows, away]
+    eta += coef[:, -1:]
+    return eta
 
 
-def win_probability(eta):
-    """Home-win probability for home edge(s) ``eta`` on the logit scale."""
-    return 1.0 / (1.0 + np.exp(-eta))
+def win_probability(eta, out=None):
+    """Home-win probability for home edge(s) ``eta`` on the logit scale,
+    ``1 / (1 + e^-eta)``; into ``out`` if given."""
+    p = np.exp(np.negative(eta, out=out), out=out)
+    return np.divide(1.0, np.add(1.0, p, out=out), out=out)
 
 
-def _bt_evaluate(theta, h, a, w, decisive, sizes, runs, penalty):
-    """Objective, gradient, win probabilities (0 on ties) and gradient norm
-    of each row.
-
-    Row i of ``theta`` holds ``sizes[i]`` strengths, then the home
-    advantage, then zero padding; ``h``, ``a`` index its strengths (any
-    valid index on a tie, which carries no weight); ``decisive`` is None
-    if no game is tied; ``runs`` is ``_runs(sizes)``. Every per-row sum
-    runs in the order a one-row call would use.
-    """
+def _bt_evaluate(theta, h, a, w, sign, decisive, sizes, runs, penalty, pi=None):
+    """Objective, gradient, win probabilities (0 on ties; into ``pi`` if
+    given) and gradient norm of each row. Row i of ``theta`` holds
+    ``sizes[i]`` strengths, the home advantage, then zeros; ``h``, ``a``
+    index the flattened ``theta`` (any key of the row on a tie, which
+    carries no weight); ``w`` marks home wins, ``sign`` is ``1 - 2w``;
+    ``decisive`` is None if no game is tied; ``runs`` is ``_runs(sizes)``."""
     rows = np.arange(len(theta))
     alpha = theta[rows, sizes]
-    off = (rows * theta.shape[1])[:, None]
-    hk, ak = (h + off).ravel(), (a + off).ravel()
     flat = theta.ravel()
-    eta = (flat[hk] - flat[ak]).reshape(h.shape)
+    eta = flat[h]
+    terms = flat[a]
+    eta -= terms
     eta += alpha[:, None]
     # -log pi = log(1 + e^-eta) and -log(1-pi) = log(1 + e^eta) are both
-    # max(0, +-eta) + log1p(e^-|eta|): one exp and one log1p per game, a
-    # tenth of np.logaddexp's cost. The objective only gates a step's
-    # acceptance, so its last bits matter only in a near-tie that the
-    # gradient norm does not settle.
-    terms = eta * (1.0 - 2.0 * w)
-    terms = np.where(terms > 0.0, terms, 0.0)
-    terms += np.log1p(np.exp(-np.abs(eta)))
-    pi = win_probability(eta)
+    # max(0, -+eta) + log1p(e^-|eta|): one exp and one log1p per game. The
+    # objective only gates a step's acceptance. fmax sends NaN to 0 as
+    # np.where(x > 0, x, 0) does; a -0 it keeps is +0 once log1p is added.
+    np.fmax(np.multiply(eta, sign, out=terms), 0.0, out=terms)
+    pi = np.abs(eta, out=pi)
+    for f in (np.negative, np.exp, np.log1p):
+        f(pi, out=pi)
+    terms += pi
+    win_probability(eta, out=pi)
     if decisive is not None:
         terms *= decisive
         pi *= decisive
     obj = -terms.sum(axis=1) - 0.5 * penalty * (_row_dots(theta, runs) + alpha * alpha)
-    r = w - pi
-    grad = np.bincount(hk, r.ravel(), flat.size) - np.bincount(ak, r.ravel(), flat.size)
-    grad = grad.reshape(theta.shape)
+    r = np.subtract(w, pi, out=terms)
+    grad = np.bincount(h.ravel(), r.ravel(), flat.size).reshape(theta.shape)
+    grad -= np.bincount(a.ravel(), r.ravel(), flat.size).reshape(theta.shape)
     grad -= penalty * theta
     grad[rows, sizes] = r.sum(axis=1) - penalty * alpha
     return obj, grad, pi, np.sqrt(_row_dots(grad, runs, extra=1))
 
 
-def _bt_hessian(pi, h, a, n, penalty):
+def _bt_hessian(pi, h, a, n, penalty, base=0):
     """Negated Hessians (positive definite) of the penalized log-likelihood
-    for rows of (G, m) games over ``n`` teams each; (G, n+1, n+1).
-
-    Each row's off-diagonal sums run over its (h, a) pairs and then its
-    (a, h) pairs, in game order, as two ``np.subtract.at`` passes over one
-    matrix would add them.
-    """
+    for rows of (G, m) games over ``n`` teams each, whose strengths row i's
+    ``h - base[i]``, ``a - base[i]`` index; (G, n+1, n+1). Each row's
+    off-diagonal sums run over its (h, a) and then its (a, h) pairs, in
+    game order, as two ``np.subtract.at`` passes over one matrix would."""
+    count, k = len(pi), n + 1
     wt = pi * (1.0 - pi)
-    count, k = len(wt), n + 1
-    off = (np.arange(count) * k)[:, None]
-    hk, ak = h + off, a + off
+    shift = (np.arange(count) * k)[:, None] - base  # h + shift: h's index in the stack
     H = np.zeros((count, k, k))
-    np.subtract.at(H.reshape(-1), (hk * k + a).ravel(), wt.ravel())
-    np.subtract.at(H.reshape(-1), (ak * k + h).ravel(), wt.ravel())
-    dh = np.bincount(hk.ravel(), weights=wt.ravel(), minlength=count * k).reshape(count, k)
-    da = np.bincount(ak.ravel(), weights=wt.ravel(), minlength=count * k).reshape(count, k)
+    keys = np.empty(pi.shape, dtype=np.intp)
+    for first, second in ((h, a), (a, h)):
+        np.multiply(first, k, out=keys)
+        keys += second
+        keys += shift * k - base
+        np.subtract.at(H.reshape(-1), keys.ravel(), wt.ravel())
+    dh, da = (np.bincount(np.add(side, shift, out=keys).ravel(), wt.ravel(), count * k)
+              .reshape(count, k) for side in (h, a))
     diagonal = H.reshape(count, -1)[:, ::k + 1]  # a view
     diagonal[:, :n] = dh[:, :n] + da[:, :n]
     H[:, :n, n] = dh[:, :n] - da[:, :n]
@@ -139,59 +138,76 @@ def _recenter(theta, runs):
         beta -= beta.sum(axis=1, keepdims=True) / n
 
 
+def _front(x, keep):
+    """Move rows ``keep`` of ``x`` to its front, in place; returns them."""
+    x[:len(keep)] = x[keep]
+    return x[:len(keep)]
+
+
 def _bt_newton(h, a, w, decisive, n, penalty, tol, max_iter):
-    """Damped Newton in lockstep over rows of games with at least one
-    decisive game each, ``n`` (sorted) seen teams per row. Returns the
-    parameters (row i: ``n[i]`` strengths, the home advantage, zeros), the
-    iterations and the final gradient norms."""
-    count = len(n)
-    every = _runs(n)
-    theta = np.zeros((count, n[-1] + 1))
-    obj, grad, pi, gnorm = _bt_evaluate(theta, h, a, w, decisive, n, every, penalty)
-    iterations = np.zeros(count, dtype=int)
+    """Damped Newton in lockstep over rows of games with a decisive game
+    each, ``n`` (sorted) seen teams per row; ``h``, ``a`` index the
+    flattened (rows, n[-1] + 1) parameters. A finished row leaves: the live
+    rows' games move to the front of the game arrays, in place. Returns the
+    parameters (row i: ``n[i]`` strengths, home advantage, zeros),
+    iterations and gradient norms."""
+    count, width = len(n), n[-1] + 1
+    theta = np.zeros((count, width))
+    fitted, iterations, norms = theta.copy(), np.zeros(count, dtype=int), np.empty(count)
+    ids, iters = np.arange(count), iterations.copy()  # output row, iterations of live rows
+    games = [h, a, w, 1 - 2 * w.astype(np.int8), decisive]
+    pi = np.empty(h.shape)
+    runs, stacks = _runs(n), _runs(n, CAP)
+    obj, grad, _, gnorm = _bt_evaluate(theta, *games, n, runs, penalty, pi)
     live = np.ones(count, dtype=bool)
     while True:
-        live &= (gnorm > tol) & (iterations < max_iter)
-        act = np.flatnonzero(live)
-        if not act.size:
-            return theta, iterations, gnorm
-        whole = len(act) == count
-        step = np.zeros((len(act), theta.shape[1]))
-        for size, rows in every if whole else _runs(n[act]):
-            at = rows if whole else act[rows]
-            hessian = _bt_hessian(pi[at], h[at], a[at], size, penalty)
-            step[rows, :size + 1] = np.linalg.solve(hessian, grad[at, :size + 1, None])[..., 0]
-            del hessian  # before the next run's is built
-        # Newton steps from a centered iterate stay centered; re-center
-        # anyway to shed float drift. A step counts as progress if it
-        # raises the objective or, once objective changes fall below
-        # float resolution near the optimum, shrinks the gradient. Each
-        # row halves its own step until it makes progress.
-        scale = np.ones(len(act))
-        todo = np.arange(len(act))
+        live &= (gnorm > tol) & (iters < max_iter)
+        if not live.all():
+            done = ~live
+            fitted[ids[done]], iterations[ids[done]], norms[ids[done]] = (
+                theta[done], iters[done], gnorm[done])
+            keep = np.flatnonzero(live)
+            if not keep.size:
+                return fitted, iterations, norms
+            games, pi = [None if x is None else _front(x, keep) for x in games], _front(pi, keep)
+            for keys in games[:2]:
+                keys -= ((keep - np.arange(len(keep))) * width)[:, None]
+            theta, obj, grad, gnorm, n, ids, iters, live = (
+                x[keep] for x in (theta, obj, grad, gnorm, n, ids, iters, live))
+            runs, stacks = _runs(n), _runs(n, CAP)
+        (h, a), base = games[:2], (np.arange(len(n)) * width)[:, None]
+        step = np.zeros_like(theta)
+        for size, rows in stacks:
+            hessian = _bt_hessian(pi[rows], h[rows], a[rows], size, penalty, base[rows])
+            step[rows, :size + 1] = np.linalg.solve(hessian, grad[rows, :size + 1, None])[..., 0]
+            del hessian  # before the next stack's is built
+        # Re-center to shed float drift. A step counts as progress if it
+        # raises the objective or, once objective changes fall below float
+        # resolution, shrinks the gradient; each row halves its own step
+        # until it does. A pass evaluates every row: one that is done
+        # holds its accepted parameters, so its pi comes out unchanged.
+        scale, todo = np.ones(len(n)), np.arange(len(n))
+        cand = theta + step
+        _recenter(cand, runs)
         while todo.size:
-            full = whole and len(todo) == count  # views, not copies, of every row
-            rows = slice(None) if full else act[todo]
-            runs = every if full else _runs(n[rows])
-            cand = theta[rows] + scale[todo, None] * step[todo]
-            _recenter(cand, runs)
-            games = (h, a, w, decisive) if full else (
-                h[rows], a[rows], w[rows], None if decisive is None else decisive[rows])
-            c_obj, c_grad, c_pi, c_gnorm = _bt_evaluate(cand, *games, n[rows], runs, penalty)
-            ok = (c_obj > obj[rows]) | (c_gnorm < gnorm[rows])
-            if full and ok.all():
-                theta, obj, grad, pi, gnorm = cand, c_obj, c_grad, c_pi, c_gnorm
-                iterations += 1
+            c_obj, c_grad, _, c_gnorm = _bt_evaluate(cand, *games, n, runs, penalty, pi)
+            ok = (c_obj[todo] > obj[todo]) | (c_gnorm[todo] < gnorm[todo])
+            if len(todo) == len(n) and ok.all():
+                theta, obj, grad, gnorm = cand, c_obj, c_grad, c_gnorm
+                iters += 1
                 break
-            took = act[todo[ok]]
-            theta[took], obj[took], grad[took] = cand[ok], c_obj[ok], c_grad[ok]
-            pi[took], gnorm[took] = c_pi[ok], c_gnorm[ok]
-            iterations[took] += 1
+            took = todo[ok]
+            theta[took], obj[took], grad[took] = cand[took], c_obj[took], c_grad[took]
+            gnorm[took] = c_gnorm[took]
+            iters[took] += 1
             todo = todo[~ok]
             scale[todo] *= 0.5
             stuck = scale[todo] <= 1e-12
-            live[act[todo[stuck]]] = False  # no progress possible; the norm decides
+            live[todo[stuck]] = False  # no progress possible; the norm decides
             todo = todo[~stuck]
+            part = theta[todo] + scale[todo, None] * step[todo]
+            _recenter(part, _runs(n[todo]))
+            cand[todo] = part
 
 
 def fit_bt_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PENALTY,
@@ -199,40 +215,39 @@ def fit_bt_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PENA
     """Ridge-penalized Bradley-Terry fit (``models.fit_bt``) of each row of
     (K, m) game columns over ``n_teams`` teams, by damped Newton run in
     lockstep over the rows. Tied games carry no weight; teams a row's
-    decisive games never reach keep strength exactly 0.
-
-    Returns the coefficients (K, n_teams + 1: strengths, then the home
-    advantage), the Newton iterations (K,) and the final gradient norms
-    (K,). A row converged if its norm is at most ``tol``; the norm is NaN
-    for a row with no decisive game.
+    decisive games never reach keep strength exactly 0. Returns the
+    coefficients (K, n_teams + 1: strengths, then the home advantage), the
+    Newton iterations (K,) and the final gradient norms (K,): a row
+    converged if its norm is at most ``tol``, NaN without a decisive game.
     """
     if penalty <= 0:
         raise ValueError("penalty must be positive")
     count = len(margin)
-    coef = np.zeros((count, n_teams + 1))  # unseen teams keep strength 0
-    iterations = np.zeros(count, dtype=int)
+    coef, iterations = np.zeros((count, n_teams + 1)), np.zeros(count, dtype=int)
     norms = np.full(count, np.nan)
     decisive = margin != 0
-    played, local = _seen_rows(home, away, decisive, n_teams)
+    played, local = _seen_rows(home, away, n_teams, decisive)
     sizes = played.sum(axis=1)
-    # Rows with a decisive game, ordered by seen-team count so that rows
-    # whose Newton systems have one size are adjacent.
-    order = _by_size(sizes)
+    # Rows with a decisive game, stably by seen-team count: equal systems adjacent.
+    order = np.array(sorted(range(count), key=sizes.tolist().__getitem__), dtype=np.intp)
     order = order[sizes[order] > 0]
     if not order.size:
         return coef, iterations, norms
     played, n, dec = played[order], sizes[order], decisive[order]
-    rows = order[:, None]
-    h, a = local[rows, home[order]], local[rows, away[order]]
+    width = n[-1] + 1
+    base = (np.arange(len(order)) * width)[:, None]  # row i's parameters start here
+    local = (local[order] + base).ravel()
+    off = (np.arange(len(order)) * n_teams)[:, None]
+    h, a = local[home[order] + off], local[away[order] + off]
     if dec.all():
         dec = None
     else:
-        h[~dec] = a[~dec] = 0  # any valid index; ties carry no weight
+        h[~dec] = a[~dec] = np.broadcast_to(base, h.shape)[~dec]  # ties carry no weight
     theta, iterations[order], norms[order] = _bt_newton(
-        h, a, (margin[order] > 0).astype(float), dec, n, penalty, tol, max_iter)
+        h, a, margin[order] > 0, dec, n, penalty, tol, max_iter)
 
     fitted = np.zeros((len(order), n_teams + 1))
-    fitted[:, :n_teams][played] = theta[:, :-1][np.arange(theta.shape[1] - 1) < n[:, None]]
+    fitted[:, :n_teams][played] = theta[:, :-1][np.arange(width - 1) < n[:, None]]
     fitted[:, n_teams] = theta[np.arange(len(order)), n]
     coef[order] = fitted
     return coef, iterations, norms
@@ -244,47 +259,48 @@ def _solve(A, b):
     try:
         return np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        pass
-    out = np.empty_like(b)
-    for i in range(len(b)):
-        try:
-            out[i] = np.linalg.solve(A[i], b[i])
-        except np.linalg.LinAlgError:
-            out[i] = np.linalg.lstsq(A[i], b[i], rcond=None)[0]
-    return out
+        if len(b) == 1:
+            return np.linalg.lstsq(A[0], b[0], rcond=None)[0][None]
+        return np.concatenate([_solve(A[i:i + 1], b[i:i + 1]) for i in range(len(b))])
 
 
-def _mov_normal_equations(h, a, y, n, penalty):
-    """Reduced normal equations (G, n, n) and (G, n) of rows of games over
-    ``n`` seen teams each.
-
-    Coordinates: 0..last-1 the strengths of the first n-1 seen teams,
+def _mov_normal_equations(home, away, margin, played, penalty):
+    """Reduced normal equations (G, n, n) and (G, n) of rows of games
+    between the teams ``played`` marks, n in each row. Coordinates:
+    0..last-1 the strengths of the first n-1 seen teams,
     ``last`` the home advantage, n the last seen team's strength. A game's
     design row is e_home - e_away + e_adv, so the normal equations are the
     schedule's graph Laplacian bordered by home-minus-away counts (Massey
-    1997). Every entry is an integer, exact in any summation order.
+    1997), taken from one integer bincount over (home, away) pairs. Every
+    entry is an integer, exact in any summation order.
     """
-    count, m = y.shape
+    (count, n_teams), m = played.shape, margin.shape[1]
+    n = int(played[0].sum())
     last, k = n - 1, n + 1
-    hc, ac = np.where(h == last, n, h), np.where(a == last, n, a)
-    off = (np.arange(count) * k)[:, None]
-    hk, ak = (hc + off).ravel(), (ac + off).ravel()
-    G = np.zeros((count, k, k))  # minus the games between each pair of teams
-    np.subtract.at(G.reshape(-1), hk * k + ac.ravel(), 1.0)
-    np.subtract.at(G.reshape(-1), ak * k + hc.ravel(), 1.0)
-    home_n = np.bincount(hk, minlength=count * k).reshape(count, k)
-    away_n = np.bincount(ak, minlength=count * k).reshape(count, k)
+    coord = np.cumsum(played, axis=1) - 1
+    coord += coord == last
+    block = (np.arange(count) * k)[:, None]
+    lookup = (coord + block).ravel()
+    off = (np.arange(count) * n_teams)[:, None]
+    hk, ak = lookup[home + off], lookup[away + off]  # row block + coordinate
+    g = np.bincount(hk.ravel(), margin.ravel(), count * k).reshape(count, k)
+    g -= np.bincount(ak.ravel(), margin.ravel(), count * k).reshape(count, k)
+    g[:, last] = margin.sum(axis=1)
+    hk *= k
+    hk += ak - block
+    pairs = np.bincount(hk.ravel(), minlength=count * k * k).reshape(count, k, k)
+    del hk, ak
+    G = np.add(pairs, pairs.transpose(0, 2, 1), out=np.empty(pairs.shape))
+    np.subtract(0.0, G, out=G)  # minus the games between each pair of teams
+    home_n, away_n = pairs.sum(axis=2), pairs.sum(axis=1)
+    del pairs
     G.reshape(count, -1)[:, ::k + 1] = home_n + away_n
     G[:, last] = G[:, :, last] = home_n - away_n
     G[:, last, last] = m
-    g = np.bincount(hk, y.ravel(), count * k) - np.bincount(ak, y.ravel(), count * k)
-    g = g.reshape(count, k)
-    g[:, last] = y.sum(axis=1)
     # Strengths sum to zero: substituting the last one as the negated sum
-    # of the others leaves the reduced system in the first n coordinates.
-    # penalty * sum(delta_i^2) in reduced coordinates is I + ones*ones^T.
-    # One matrix at a time: an operation across the stack would hold
-    # numpy's iterator buffers, larger than the stack itself.
+    # of the others leaves the reduced system in the first n coordinates,
+    # where penalty * sum(delta_i^2) is I + ones*ones^T. One matrix at a
+    # time: across the stack, numpy's iterator buffers outgrow the stack.
     ridge = penalty * (np.eye(last) + np.ones((last, last)))
     for M in G:
         M[:last] -= M[n]
@@ -296,23 +312,21 @@ def _mov_normal_equations(h, a, y, n, penalty):
 
 def fit_mov_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PENALTY):
     """Closed-form ridge margin fit (``models.fit_mov``) of each row of
-    (K, m) game columns over ``n_teams`` teams: coefficients (K, n_teams
-    + 1: strengths, then the home advantage). Teams a row never reaches
-    keep strength exactly 0."""
+    (K, m) game columns over ``n_teams`` teams: coefficients (K, n_teams +
+    1: strengths, then home advantage); unseen teams keep strength 0."""
     if penalty < 0:
         raise ValueError("penalty must be non-negative")
-    played, local = _seen_rows(home, away, np.ones(margin.shape, dtype=bool), n_teams)
+    played, _ = _seen_rows(home, away, n_teams)
     sizes = played.sum(axis=1)
-    order = _by_size(sizes)
+    order = np.array(sorted(range(len(sizes)), key=sizes.tolist().__getitem__), dtype=np.intp)
     coef = np.zeros((len(margin), n_teams + 1))  # unseen teams keep strength 0
-    for n, rows in _runs(sizes[order]):
+    for n, rows in _runs(sizes[order], CAP):
         idx = order[rows]
-        h, a = local[idx[:, None], home[idx]], local[idx[:, None], away[idx]]
-        x = _solve(*_mov_normal_equations(h, a, margin[idx].astype(float), n, penalty))
-        last = n - 1
+        x = _solve(*_mov_normal_equations(home[idx], away[idx], margin[idx], played[idx],
+                                          penalty))
         fitted = np.zeros((len(idx), n_teams + 1))
         fitted[:, :n_teams][played[idx]] = np.concatenate(
-            [x[:, :last], -x[:, :last].sum(axis=1, keepdims=True)], axis=1).ravel()
-        fitted[:, n_teams] = x[:, last]
+            [x[:, :n - 1], -x[:, :n - 1].sum(axis=1, keepdims=True)], axis=1).ravel()
+        fitted[:, n_teams] = x[:, n - 1]
         coef[idx] = fitted
     return coef

@@ -114,6 +114,9 @@ def cmd_curve(args) -> int:
         bt_penalty=args.bt_penalty,
         mov_penalty=args.mov_penalty,
     )
+    labels = [Path(p).stem for p in args.inputs]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"two inputs share a season label (file stem): {labels}")
     seasons = _load_seasons(args.inputs, league)
 
     rows = []

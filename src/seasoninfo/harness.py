@@ -14,6 +14,7 @@ import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,11 +24,13 @@ from .ingest import Game, Season, encode_games
 from .models import bt_predicts_home_win, mov_predicts_home_win, score
 
 DEFAULT_X_GRID = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
-# Season games per work unit, summed over its replicates. A unit pays numpy's
-# per-call overhead once for all its replicates; its temporaries (per-game
-# arrays and stacked team-by-team systems) grow with it, and at this size
-# they peak near 0.6 MB on 16- to 162-game seasons.
-BUDGET = 5000
+# A work unit pays numpy's per-call overhead once for all its replicates;
+# its tracemalloc peak stays within UNIT_BYTES, which 19 NFL-shaped
+# replicates (5,000 season games) reached when units were sized by games.
+# Per replicate, a unit of the size chosen here peaks below GAME_BYTES per
+# season game plus TEAM_BYTES per entry of a (teams + 1)^2 system (measured).
+UNIT_BYTES = 715_000
+GAME_BYTES, TEAM_BYTES = 46, 21
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,8 @@ class ProtocolConfig:
         object.__setattr__(self, "x_grid", tuple(self.x_grid))
         if not self.x_grid:
             raise ConfigError("x_grid is empty")
+        if len(set(self.x_grid)) < len(self.x_grid):
+            raise ConfigError(f"x_grid repeats a fraction: {self.x_grid}")
         for f in self.x_grid:
             if not 0.0 < f < 1.0:
                 raise ConfigError(f"fraction {f} is not strictly between 0 and 1")
@@ -80,9 +85,7 @@ class CurvePoint:
 
 def split_seed(master_seed: int, fraction: float, replicate: int) -> int:
     """Stable 64-bit seed for one (fraction, replicate) cell."""
-    payload = struct.pack(
-        "<Qdq", master_seed & 0xFFFFFFFFFFFFFFFF, float(fraction), replicate
-    )
+    payload = struct.pack("<Qdq", master_seed & 0xFFFFFFFFFFFFFFFF, float(fraction), replicate)
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
@@ -99,12 +102,14 @@ def train_size(fraction: float, n_games: int) -> int:
 def _split_indices(n_games: int, config: ProtocolConfig, fraction: float, replicates):
     """Train and test game indices, ascending, one row per listed replicate."""
     m = train_size(fraction, n_games)
-    chosen = np.zeros((len(replicates), n_games), dtype=bool)
-    for row, k in zip(chosen, replicates):
-        rng = np.random.default_rng(split_seed(config.master_seed, fraction, k))
-        row[rng.permutation(n_games)[:m]] = True
-    games = np.broadcast_to(np.arange(n_games), chosen.shape)
-    return games[chosen].reshape(len(chosen), m), games[~chosen].reshape(len(chosen), -1)
+    train = np.empty((len(replicates), m), dtype=np.intp)
+    test = np.empty((len(replicates), n_games - m), dtype=np.intp)
+    for k, tr, te in zip(replicates, train, test):
+        chosen = np.zeros(n_games, dtype=bool)  # one row's mask at a time
+        chosen[np.random.default_rng(split_seed(config.master_seed, fraction, k))
+               .permutation(n_games)[:m]] = True
+        tr[:], te[:] = np.flatnonzero(chosen), np.flatnonzero(~chosen)
+    return train, test
 
 
 def make_split(season: Season, config: ProtocolConfig, fraction: float,
@@ -127,55 +132,47 @@ def home_baseline(test) -> float:
 def evaluate_chunk(columns, n_teams: int, config: ProtocolConfig, fraction: float,
                    replicates) -> list[tuple[float | None, float, float]]:
     """BT accuracy (None if its fit failed), MOV accuracy and home-pick
-    baseline of each listed replicate of one fraction; ``columns`` is
-    ``encode_games`` of the season over its sorted teams. The replicates
-    are fitted together, each exactly as it would be alone."""
+    baseline of each listed replicate of one fraction, fitted together and
+    each exactly as alone; ``columns`` encode the season (``encode_games``)."""
     train_idx, test_idx = _split_indices(len(columns[2]), config, fraction, replicates)
     train = [col[train_idx] for col in columns]
+    del train_idx
+    mov = fit_mov_batch(*train, n_teams, penalty=config.mov_penalty)
+    bt, _, gnorm = fit_bt_batch(*train, n_teams, penalty=config.bt_penalty,
+                                tol=config.bt_tol, max_iter=config.bt_max_iter)
+    del train  # the test games are gathered only once the fits are done
     home, away, margin = (col[test_idx] for col in columns)
-    del train_idx, test_idx
-
-    coef = fit_mov_batch(*train, n_teams, penalty=config.mov_penalty)
-    mov_acc = score(mov_predicts_home_win(linear_predictor(coef, home, away)), margin)
-    coef, _, gnorm = fit_bt_batch(*train, n_teams, penalty=config.bt_penalty,
-                                  tol=config.bt_tol, max_iter=config.bt_max_iter)
-    del train
-    pi = win_probability(linear_predictor(coef, home, away))
-    bt_acc = score(bt_predicts_home_win(pi), margin)
+    del test_idx
+    mov_acc = score(mov_predicts_home_win(linear_predictor(mov, home, away)), margin)
+    eta = linear_predictor(bt, home, away)
+    bt_acc = score(bt_predicts_home_win(win_probability(eta, out=eta)), margin)
     return [(bt if ok else None, mov, base) for bt, ok, mov, base
             in zip(bt_acc, (gnorm <= config.bt_tol).tolist(), mov_acc, score(True, margin))]
 
 
-_WORKER_STATE: tuple | None = None
-
-
-def _worker_init(columns, n_teams: int, config: ProtocolConfig) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (columns, n_teams, config)
-
-
-def _worker_eval(task: tuple[float, range]):
-    return evaluate_chunk(*_WORKER_STATE, *task)
-
-
-def _chunks(config: ProtocolConfig, n_games: int, jobs: int) -> list[tuple[float, range]]:
-    """(fraction, replicates) work units. A unit holds about BUDGET games
-    over its replicates; with workers, each fraction splits into at least
+def _chunks(config: ProtocolConfig, n_games: int, n_teams: int,
+            jobs: int) -> list[tuple[float, range]]:
+    """(fraction, replicates) work units. A unit holds as many replicates
+    as fit in UNIT_BYTES; with workers, each fraction splits into at least
     two units per worker so that a one-fraction call keeps them all busy."""
-    size = max(1, BUDGET // n_games)
+    size = max(1, UNIT_BYTES // (GAME_BYTES * n_games + TEAM_BYTES * (n_teams + 1) ** 2))
     if jobs > 1:
         size = min(size, -(-config.replicates // (2 * jobs)))
     return [(f, range(lo, min(lo + size, config.replicates)))
             for f in config.x_grid for lo in range(0, config.replicates, size)]
 
 
+def _narrow(col):
+    """``col`` in the smallest integer type that holds it: columns are only
+    compared, or added to wider index arrays."""
+    return col.astype(np.result_type(np.min_scalar_type(col.min()), np.min_scalar_type(col.max())))
+
+
 def _mean_sd(values: list[float]) -> tuple[float, float]:
-    if not values:
-        return float("nan"), float("nan")
     arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-    return mean, sd
+    if not len(arr):
+        return float("nan"), float("nan")
+    return float(arr.mean()), float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
 
 
 def run_protocol(season: Season, config: ProtocolConfig, jobs: int = 1) -> list[CurvePoint]:
@@ -186,41 +183,30 @@ def run_protocol(season: Season, config: ProtocolConfig, jobs: int = 1) -> list[
     ``jobs`` only controls parallelism; results are reduced by
     (fraction, replicate) key and are bit-identical for any job count.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     n = len(season.games)
     for f in config.x_grid:
         train_size(f, n)  # fail before any work starts
-    state = (encode_games(season.games, sorted(season.teams)), len(season.teams), config)
+    state = (tuple(map(_narrow, encode_games(season.games, sorted(season.teams)))),
+             len(season.teams), config)
 
-    tasks = _chunks(config, n, jobs)
+    tasks = _chunks(config, n, len(season.teams), jobs)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
-                                 initargs=state) as pool:
-            cells = pool.map(_worker_eval, tasks)
-            results = {(f, k): cell for (f, ks), chunk in zip(tasks, cells)
-                       for k, cell in zip(ks, chunk)}
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # A few batches of units per worker, not one round trip per unit.
+            chunks = list(pool.map(partial(evaluate_chunk, *state), *zip(*tasks),
+                                   chunksize=-(-len(tasks) // (4 * jobs))))
     else:
-        results = {(f, k): cell for f, ks in tasks
-                   for k, cell in zip(ks, evaluate_chunk(*state, f, ks))}
+        chunks = [evaluate_chunk(*state, *task) for task in tasks]
+    results = {(f, k): cell for (f, ks), chunk in zip(tasks, chunks) for k, cell in zip(ks, chunk)}
 
-    games_per_team = 2.0 * n / len(season.teams)
     points = []
     for f in config.x_grid:
         rows = [results[f, k] for k in range(config.replicates)]
         bt_vals = [bt for bt, _, _ in rows if bt is not None]
-        mean_bt, sd_bt = _mean_sd(bt_vals)
-        mean_mov, sd_mov = _mean_sd([mov for _, mov, _ in rows])
-        baseline = float(np.mean([base for _, _, base in rows]))
-        points.append(
-            CurvePoint(
-                fraction=f,
-                games_per_team=f * games_per_team,
-                mean_bt_acc=mean_bt,
-                sd_bt_acc=sd_bt,
-                mean_mov_acc=mean_mov,
-                sd_mov_acc=sd_mov,
-                baseline_acc=baseline,
-                bt_failures=len(rows) - len(bt_vals),
-                mov_failures=0,  # the closed-form margin fit cannot fail
-            )
-        )
+        points.append(CurvePoint(  # the closed-form margin fit cannot fail
+            f, f * (2.0 * n / len(season.teams)), *_mean_sd(bt_vals),
+            *_mean_sd([mov for _, mov, _ in rows]), float(np.mean([b for _, _, b in rows])),
+            bt_failures=len(rows) - len(bt_vals), mov_failures=0))
     return points

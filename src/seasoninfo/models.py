@@ -77,7 +77,8 @@ def bt_objective_gradient(train: Sequence[Game], teams, strengths: Mapping[str, 
     home, away, margin = (col[None] for col in encode_games(train, order))
     theta = np.array([[strengths[t] for t in order] + [home_adv]], dtype=float)
     sizes = np.array([len(order)])
-    obj, grad, _, _ = _bt_evaluate(theta, home, away, (margin > 0).astype(float), margin != 0,
+    w = margin > 0
+    obj, grad, _, _ = _bt_evaluate(theta, home, away, w, 1.0 - 2.0 * w, margin != 0,
                                    sizes, _runs(sizes), penalty)
     return float(obj[0]), grad[0]
 

@@ -225,6 +225,32 @@ def test_curve_rejects_bad_penalty(tmp_path, capsys, flag, value):
     assert sorted(p.name for p in tmp_path.iterdir()) == [src.name]
 
 
+def test_curve_rejects_duplicate_fractions_and_seasons(tmp_path, capsys):
+    src = toy_csv(tmp_path)
+    (tmp_path / "b").mkdir()
+    twin = toy_csv(tmp_path / "b")  # another toy.csv: the same season label
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    for inputs, extra in (([src], ["--x-grid", "0.5,0.5"]), ([src, twin], ["--x-grid", "0.5"])):
+        out = tmp_path / "c.csv"
+        code = main(["curve", *map(str, inputs), "--league", "NFL", "--replicates", "2",
+                     *extra, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and ("repeats" in err or "share" in err)
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_curve_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    src = toy_csv(tmp_path)
+    code = main(["curve", str(src), "--league", "NFL", "--x-grid", "0.5", "--replicates", "2",
+                 "--jobs", jobs, "--out", str(tmp_path / "c.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "jobs" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [src.name]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["curve"])  # missing required arguments

@@ -7,13 +7,16 @@ arrays; ``make_split`` -> ``home_baseline``, ``fit_bt``/``fit_mov`` ->
 semantics. The fitters' former constructions (two ``np.subtract.at``
 passes for the BT Hessian, the dense m x n design for the MOV normal
 equations) are restated here as references for the ones that replaced
-them. Replicates fitted together in chunks must match, bit for bit, the
-same replicates fitted one at a time.
+them, and so is the boolean mask the splits were first taken with.
+Replicates fitted together in chunks must match, bit for bit, the same
+replicates fitted one at a time, whatever the work units' size.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +35,9 @@ from seasoninfo import (
     predict_mov,
     run_protocol,
 )
-from seasoninfo.harness import _split_indices, evaluate_chunk
+from seasoninfo import harness
+from seasoninfo.harness import (_chunks, _narrow, _split_indices, evaluate_chunk, split_seed,
+                                train_size)
 from seasoninfo.ingest import encode_games
 from seasoninfo.batch import _bt_hessian, fit_bt_batch, fit_mov_batch
 from seasoninfo.models import (
@@ -154,6 +159,22 @@ def _random_games(rng, n_teams, m, tie_share=0.2):
     return h.astype(np.intp), a.astype(np.intp), margin
 
 
+def subtract_at_hessian(pi, h, a, n, penalty):
+    """The negated BT Hessian from two ``np.subtract.at`` passes."""
+    wt = pi * (1.0 - pi)
+    ref = np.zeros((n + 1, n + 1))
+    dh = np.bincount(h, weights=wt, minlength=n)
+    da = np.bincount(a, weights=wt, minlength=n)
+    ref[np.arange(n), np.arange(n)] = dh + da
+    np.subtract.at(ref, (h, a), wt)
+    np.subtract.at(ref, (a, h), wt)
+    ref[:n, n] = dh - da
+    ref[n, :n] = ref[:n, n]
+    ref[n, n] = wt.sum()
+    ref[np.arange(n + 1), np.arange(n + 1)] += penalty
+    return ref
+
+
 def test_bt_hessian_equals_subtract_at_construction():
     rng = np.random.default_rng(2024)
     for _ in range(300):
@@ -161,17 +182,7 @@ def test_bt_hessian_equals_subtract_at_construction():
         h, a, _ = _random_games(rng, n, int(rng.integers(1, 60)))
         pi = rng.uniform(0.01, 0.99, len(h))
         penalty = float(rng.uniform(0.1, 3.0))
-        wt = pi * (1.0 - pi)
-        ref = np.zeros((n + 1, n + 1))
-        dh = np.bincount(h, weights=wt, minlength=n)
-        da = np.bincount(a, weights=wt, minlength=n)
-        ref[np.arange(n), np.arange(n)] = dh + da
-        np.subtract.at(ref, (h, a), wt)
-        np.subtract.at(ref, (a, h), wt)
-        ref[:n, n] = dh - da
-        ref[n, :n] = ref[:n, n]
-        ref[n, n] = wt.sum()
-        ref[np.arange(n + 1), np.arange(n + 1)] += penalty
+        ref = subtract_at_hessian(pi, h, a, n, penalty)
         got = _bt_hessian(pi[None], h[None], a[None], n, penalty)[0]
         assert got.tobytes() == ref.tobytes()
 
@@ -238,3 +249,148 @@ def test_chunked_fits_match_one_replicate_fits(name):
                     assert mov[i].tobytes() == alone_mov[k][0].tobytes(), (f, k, size)
         failed = [np.isnan(norm[0]) for _, _, norm in alone]
         assert any(failed) == (name == "no_decisive_game")
+
+
+def mask_split(n_games, config, fraction, replicates):
+    """Train and test indices from a boolean mask over each permutation's
+    first m games, as the splits were first taken."""
+    m = train_size(fraction, n_games)
+    chosen = np.zeros((len(replicates), n_games), dtype=bool)
+    for row, k in zip(chosen, replicates):
+        rng = np.random.default_rng(split_seed(config.master_seed, fraction, k))
+        row[rng.permutation(n_games)[:m]] = True
+    games = np.broadcast_to(np.arange(n_games), chosen.shape)
+    return games[chosen].reshape(len(chosen), m), games[~chosen].reshape(len(chosen), -1)
+
+
+def test_split_indices_match_the_mask_construction():
+    config = ProtocolConfig(master_seed=31)
+    for n_games in (7, 256, 2430):
+        for f in config.x_grid:
+            got = _split_indices(n_games, config, f, range(3, 9))
+            want = mask_split(n_games, config, f, range(3, 9))
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (n_games, f)
+
+
+@pytest.mark.parametrize("name", list(SEASONS))
+def test_unit_size_and_jobs_leave_curves_unchanged(monkeypatch, name):
+    season = SEASONS[name]()
+    config = ProtocolConfig(x_grid=(0.125, 0.5, 0.875) if name != "no_decisive_game"
+                            else (0.5,), replicates=25, master_seed=17)
+    runs = []
+    for budget in (1, harness.UNIT_BYTES, 10**9):
+        monkeypatch.setattr(harness, "UNIT_BYTES", budget)
+        for jobs in (1, 2):
+            points = run_protocol(season, config, jobs=jobs)
+            runs.append(repr([dataclasses.asdict(p) for p in points]))
+    monkeypatch.undo()
+    assert runs == [runs[0]] * len(runs)
+
+
+def _shaped_season(n_teams, games_per_team):
+    spec = SynthSpec(n_teams=n_teams, games_per_team=games_per_team, seed=games_per_team,
+                     home_adv=0.2, strength_sd=0.4, mov_scale=4.0, mov_noise_sd=8.0)
+    return generate_season(spec)[0]
+
+
+@pytest.mark.parametrize("n_teams,games_per_team", [(30, 162), (32, 16)])
+def test_unit_peak_stays_within_the_byte_budget(n_teams, games_per_team):
+    """A work unit's tracemalloc peak per replicate stays under the measured
+    ceiling the unit size is chosen by, on MLB- and NFL-shaped seasons."""
+    season = _shaped_season(n_teams, games_per_team)
+    n_games = len(season.games)
+    columns = tuple(map(_narrow, encode_games(season.games, sorted(season.teams))))
+    config = ProtocolConfig()
+    units = _chunks(config, n_games, n_teams, jobs=1)
+    size = len(units[0][1])
+    ceiling = harness.GAME_BYTES * n_games + harness.TEAM_BYTES * (n_teams + 1) ** 2
+    assert size * ceiling <= harness.UNIT_BYTES
+    for f in config.x_grid:
+        evaluate_chunk(columns, n_teams, config, f, range(size))  # numpy's first-call set-up
+        tracemalloc.start()
+        try:
+            evaluate_chunk(columns, n_teams, config, f, range(size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= size * ceiling, (f, size, peak / size, ceiling)
+
+
+def plain_bt_fit(h, a, margin, n_teams, penalty, tol=1e-8, max_iter=100):
+    """One replicate's ridge BT fit by damped Newton over its seen teams,
+    written out plainly: the iterates, in the float operations, that the
+    lockstep fit of many rows must reproduce bit for bit."""
+    coef = np.zeros(n_teams + 1)
+    dec = margin != 0
+    seen = np.unique(np.concatenate([h[dec], a[dec]]))
+    if not seen.size:
+        return coef, 0, float("nan")
+    n, local = len(seen), np.zeros(n_teams, dtype=np.intp)
+    local[seen] = np.arange(n)
+    hl, al, w = np.where(dec, local[h], 0), np.where(dec, local[a], 0), (margin > 0) * 1.0
+
+    def evaluate(theta):
+        eta = theta[hl] - theta[al] + theta[n]
+        terms = eta * (1.0 - 2.0 * w)
+        terms = np.where(terms > 0.0, terms, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+        pi = 1.0 / (1.0 + np.exp(-eta)) * dec
+        obj = -(terms * dec).sum() - 0.5 * penalty * (theta[:n] @ theta[:n] + theta[n] ** 2)
+        r = w - pi
+        grad = np.bincount(hl, r, n + 1) - np.bincount(al, r, n + 1) - penalty * theta
+        grad[n] = r.sum() - penalty * theta[n]
+        return obj, grad, pi, np.sqrt(grad @ grad)
+
+    theta, iterations = np.zeros(n + 1), 0
+    obj, grad, pi, gnorm = evaluate(theta)
+    while gnorm > tol and iterations < max_iter:
+        step = np.linalg.solve(subtract_at_hessian(pi, hl, al, n, penalty), grad)
+        scale = 1.0
+        while True:
+            cand = theta + scale * step
+            cand[:n] -= cand[:n].sum() / n
+            c_obj, c_grad, c_pi, c_gnorm = evaluate(cand)
+            if c_obj > obj or c_gnorm < gnorm:
+                theta, obj, grad, pi, gnorm = cand, c_obj, c_grad, c_pi, c_gnorm
+                iterations += 1
+                break
+            scale *= 0.5
+            if scale <= 1e-12:
+                break
+        if scale <= 1e-12:
+            break
+    coef[seen], coef[-1] = theta[:n], theta[n]
+    return coef, iterations, gnorm
+
+
+def _near_separable_rows(seed):
+    """Four rows of games in which the lower-indexed team mostly wins, and
+    a tiny penalty: with the seeds below, some rows need step halving."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 6)), int(rng.integers(2, 30))
+    h = rng.integers(0, n, (4, m))
+    a = (h + 1 + rng.integers(0, n - 1, (4, m))) % n
+    p = 1 / (1 + np.exp(-(a - h) * rng.uniform(1, 6)))
+    margin = np.where(rng.random((4, m)) < p, 1, -1) * rng.integers(1, 5, (4, m))
+    margin[rng.random((4, m)) < 0.1] = 0
+    return h, a, margin, n, float(10 ** rng.uniform(-9, -1))
+
+
+def _season_rows(name):
+    season = SEASONS[name]()
+    config = ProtocolConfig(replicates=12, master_seed=23)
+    fraction = 0.5 if name == "no_decisive_game" else 0.125
+    return (*_train_rows(season, config, fraction), len(season.teams), config.bt_penalty)
+
+
+@pytest.mark.parametrize("rows", [*(f"halving-{s}" for s in (378, 586, 650, 1422, 1941, 2855)),
+                                  *SEASONS])
+def test_lockstep_fit_matches_plain_newton(rows):
+    h, a, margin, n_teams, penalty = (
+        _near_separable_rows(int(rows.split("-")[1])) if rows.startswith("halving")
+        else _season_rows(rows))
+    coef, iterations, gnorm = fit_bt_batch(h, a, margin, n_teams, penalty)
+    for k in range(len(margin)):
+        want, want_iter, want_norm = plain_bt_fit(h[k], a[k], margin[k], n_teams, penalty)
+        assert coef[k].tobytes() == want.tobytes(), k
+        assert iterations[k] == want_iter, k
+        assert repr(float(gnorm[k])) == repr(float(want_norm)), k

@@ -26,6 +26,8 @@ def test_config_validation():
         ProtocolConfig(replicates=0)
     with pytest.raises(ConfigError):
         ProtocolConfig(x_grid=())
+    with pytest.raises(ConfigError):
+        ProtocolConfig(x_grid=(0.5, 0.25, 0.5))
 
 
 def test_split_seed_is_frozen():
