@@ -6,6 +6,7 @@ single-breakpoint piecewise-linear fit of the curve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -106,7 +107,9 @@ def fit_breakpoint(points: Iterable[tuple[float, float]]) -> BreakpointFit:
     hinges = np.maximum(xs - psis[:, None], 0.0)
     basis, _ = np.linalg.qr(line_design)
     hinges -= (hinges @ basis) @ basis.T
-    one_pass = line_sse - (hinges @ line_resid) ** 2 / np.einsum("ij,ij->i", hinges, hinges)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        one_pass = line_sse - (hinges @ line_resid) ** 2 / np.einsum("ij,ij->i", hinges, hinges)
+    one_pass[np.isnan(one_pass)] = line_sse  # a hinge inside the line's span adds nothing
     near = np.flatnonzero(one_pass <= one_pass.min() + BREAKPOINT_RECHECK * (ys @ ys))
 
     best = None
@@ -145,6 +148,7 @@ class SummaryReport:
     slopes: dict[float, float]
     informativeness_ratios: dict[str, float]
     breakpoint: BreakpointFit | None
+    curve: list[tuple[float, ...]]  # aggregate_league_curve(rows)
     # Why an odds ratio above is NaN, keyed "or_mov_875" or
     # "per_season_or.<season>"; see _odds_ratio_or_reason.
     undefined: dict[str, str] = field(default_factory=dict)
@@ -165,6 +169,22 @@ class CurveRow:
     baseline_acc: float
     bt_failures: int = 0
     mov_failures: int = 0
+
+    def out_of_range(self) -> str | None:
+        """Why this row holds a value that ``curve`` never writes, None if
+        none. ``curve``'s games_per_team lies between 0.5 / (season games)
+        and the season's games; [1e-9, 1e9] keeps its squares in the slope
+        and breakpoint fits clear of float underflow and overflow."""
+        checks = [("fraction", 0.0 < self.fraction < 1.0, "in (0, 1)"),
+                  ("games_per_team", 1e-9 <= self.games_per_team <= 1e9, "in [1e-9, 1e9]")]
+        checks += [(name, 0.0 <= getattr(self, name) <= 1.0, "in [0, 1]")
+                   for name in ("mean_bt_acc", "mean_mov_acc", "baseline_acc")]
+        checks += [(name, 0.0 <= getattr(self, name) < math.inf, "finite and non-negative")
+                   for name in ("sd_bt_acc", "sd_mov_acc", "bt_failures", "mov_failures")]
+        for name, ok, want in checks:
+            if not ok:
+                return f"{name} {getattr(self, name)!r} is not {want}"
+        return None
 
 
 def aggregate_league_curve(rows: Sequence[CurveRow]):
@@ -262,5 +282,6 @@ def summarize_league(league: str, rows: Sequence[CurveRow],
         slopes=slopes,
         informativeness_ratios=ratios,
         breakpoint=breakpoint_fit,
+        curve=agg,
         undefined=undefined,
     )

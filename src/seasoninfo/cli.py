@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime as dt
 import hashlib
 import io
@@ -24,17 +25,17 @@ import math
 import os
 import secrets
 import sys
+import typing
 from pathlib import Path
 
 from . import __version__
 from .analysis import (
     SLOPE_COLUMNS,
     CurveRow,
-    aggregate_league_curve,
     informativeness_ratio,
     summarize_league,
 )
-from .errors import ConfigError, ParseError, SeasonInfoError
+from .errors import ConfigError, FitError, ParseError, SeasonInfoError
 from .harness import DEFAULT_X_GRID, ProtocolConfig, run_protocol
 from .ingest import League, parse_season, season_to_csv, summarize_season
 from .synth import SynthSpec, generate_season
@@ -43,12 +44,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_FIT = 4
-
-CURVE_COLUMNS = (
-    "league", "season", "fraction", "games_per_team",
-    "mean_bt_acc", "sd_bt_acc", "mean_mov_acc", "sd_mov_acc",
-    "baseline_acc", "bt_failures", "mov_failures",
-)
 
 
 def fmt6(x: float) -> str:
@@ -62,6 +57,18 @@ def _json_num(x: float):
     if x is None or not math.isfinite(x):
         return None
     return float(fmt6(x))
+
+
+def _json_value(value):
+    """``value`` with every float in it, also inside dicts and lists, at six
+    significant digits (None if not finite); other values as they are."""
+    if isinstance(value, float):
+        return _json_num(value)
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    return value
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -79,8 +86,50 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _write_json(path: Path, payload) -> None:
+    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, buf.getvalue())
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _digests(paths) -> list[dict]:
+    return [{"path": str(p), "sha256": _sha256(Path(p))} for p in paths]
+
+
+# The curve columns are CurveRow's fields, in order. A field of each type
+# is written to CSV and to JSON as below, and read back by calling its type
+# on the CSV text, or from a JSON value that already has that type.
+_CURVE_FIELDS = tuple(typing.get_type_hints(CurveRow).items())
+CURVE_COLUMNS = tuple(name for name, _ in _CURVE_FIELDS)
+_TO_CSV = {str: str, float: fmt6, int: str}
+_TO_JSON = {str: str, float: _json_num, int: int}
+
+
+def _encode(row: CurveRow, writers: dict) -> list:
+    return [writers[kind](getattr(row, name)) for name, kind in _CURVE_FIELDS]
+
+
+def _from_csv(kind, text):
+    if text is None:  # DictReader's filler for a row shorter than the header
+        raise ValueError("a row has fewer fields than the header")
+    return kind(text)
+
+
+def _from_json(kind, value):
+    """``value`` as ``kind``; a float field also takes a JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise TypeError(f"{value!r} is not a JSON {kind.__name__}")
+    return kind(value)
 
 
 def _parse_x_grid(raw: str | None) -> tuple[float, ...]:
@@ -124,22 +173,13 @@ def cmd_curve(args) -> int:
         points = run_protocol(season, config, jobs=args.jobs)
         for pt in points:
             if pt.bt_failures >= config.replicates or pt.mov_failures >= config.replicates:
-                print(
-                    f"error: every replicate failed for {season.season_label} "
-                    f"at fraction {pt.fraction}",
-                    file=sys.stderr,
-                )
-                return EXIT_FIT
-            rows.append((season.season_label, pt))
+                raise FitError(f"every replicate failed for {season.season_label} "
+                               f"at fraction {pt.fraction}")
+            rows.append(CurveRow(league.value, season.season_label, **dataclasses.asdict(pt)))
 
     out = Path(args.out)
-    if out.suffix == ".json":
-        payload = {"curves": [_curve_row_dict(league, label, pt) for label, pt in rows]}
-        _atomic_write(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        _atomic_write(out, _curve_csv(league, rows))
-
-    manifest = {
+    write_curve_file(out, rows)
+    _write_json(out.with_name(out.name + ".manifest.json"), {
         "tool": "seasoninfo",
         "version": __version__,
         "created_utc": dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds"),
@@ -155,41 +195,18 @@ def cmd_curve(args) -> int:
             {"path": str(path), "season": season.season_label, "sha256": _sha256(path)}
             for path, season in seasons
         ],
-        "curves": [_curve_row_dict(league, label, pt) for label, pt in rows],
-    }
-    _atomic_write(out.with_name(out.name + ".manifest.json"),
-                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        "outputs": _digests([out]),
+    })
     return EXIT_OK
 
 
-def _curve_row_dict(league: League, label: str, pt) -> dict:
-    return {
-        "league": league.value,
-        "season": label,
-        "fraction": _json_num(pt.fraction),
-        "games_per_team": _json_num(pt.games_per_team),
-        "mean_bt_acc": _json_num(pt.mean_bt_acc),
-        "sd_bt_acc": _json_num(pt.sd_bt_acc),
-        "mean_mov_acc": _json_num(pt.mean_mov_acc),
-        "sd_mov_acc": _json_num(pt.sd_mov_acc),
-        "baseline_acc": _json_num(pt.baseline_acc),
-        "bt_failures": pt.bt_failures,
-        "mov_failures": pt.mov_failures,
-    }
-
-
-def _curve_csv(league: League, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CURVE_COLUMNS)
-    for label, pt in rows:
-        writer.writerow([
-            league.value, label, fmt6(pt.fraction), fmt6(pt.games_per_team),
-            fmt6(pt.mean_bt_acc), fmt6(pt.sd_bt_acc),
-            fmt6(pt.mean_mov_acc), fmt6(pt.sd_mov_acc),
-            fmt6(pt.baseline_acc), pt.bt_failures, pt.mov_failures,
-        ])
-    return buf.getvalue()
+def write_curve_file(path: Path, rows) -> None:
+    """Write curve rows as JSON if ``path`` ends in .json, else as CSV."""
+    if path.suffix == ".json":
+        _write_json(path, {"curves": [dict(zip(CURVE_COLUMNS, _encode(row, _TO_JSON)))
+                                      for row in rows]})
+    else:
+        _write_csv(path, CURVE_COLUMNS, (_encode(row, _TO_CSV) for row in rows))
 
 
 def read_curve_file(path) -> list[CurveRow]:
@@ -198,28 +215,19 @@ def read_curve_file(path) -> list[CurveRow]:
     try:
         if path.suffix == ".json":
             payload = json.loads(path.read_text(encoding="utf-8"))
-            raw_rows = payload["curves"]
+            raw_rows, parse = payload["curves"], _from_json
         else:
             with open(path, newline="", encoding="utf-8") as fh:
                 reader = csv.DictReader(fh)
-                raw_rows = list(reader)
-        rows = []
-        for raw in raw_rows:
-            rows.append(CurveRow(
-                league=raw["league"],
-                season=raw["season"],
-                fraction=float(raw["fraction"]),
-                games_per_team=float(raw["games_per_team"]),
-                mean_bt_acc=float(raw["mean_bt_acc"]),
-                sd_bt_acc=float(raw["sd_bt_acc"]),
-                mean_mov_acc=float(raw["mean_mov_acc"]),
-                sd_mov_acc=float(raw["sd_mov_acc"]),
-                baseline_acc=float(raw["baseline_acc"]),
-                bt_failures=int(raw["bt_failures"]),
-                mov_failures=int(raw["mov_failures"]),
-            ))
-    except (KeyError, TypeError, ValueError) as exc:
+                raw_rows, parse = list(reader), _from_csv
+        rows = [CurveRow(**{name: parse(kind, raw[name]) for name, kind in _CURVE_FIELDS})
+                for raw in raw_rows]
+    except (KeyError, TypeError, ValueError, OverflowError, csv.Error) as exc:
         raise ParseError(f"malformed curve file {path}: {exc}") from None
+    for i, row in enumerate(rows, start=1):
+        problem = row.out_of_range()
+        if problem:
+            raise ParseError(f"curve file {path}, row {i}: {problem}")
     if not rows:
         raise ParseError(f"curve file {path} has no rows")
     return rows
@@ -267,84 +275,47 @@ def cmd_summary(args) -> int:
     payload = {
         "tool": "seasoninfo",
         "version": __version__,
-        "leagues": {lg: _report_dict(reports[lg], by_league[lg]) for lg in leagues},
+        "leagues": {lg: _report_dict(reports[lg]) for lg in leagues},
         "informativeness_ratios": ratio_table,
     }
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / "summary.json",
-                  json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    outputs = [out_dir / name for name in ("summary.json", "table_or.csv", "table_slopes.csv")]
+    _write_json(outputs[0], payload)
+    _write_csv(outputs[1], ["league", "or_mov_875"], (
+        [lg, "" if "or_mov_875" in reports[lg].undefined else fmt6(reports[lg].or_mov_875)]
+        for lg in leagues))
+    _write_csv(outputs[2], ["league"] + [f"slope_{fmt6(c)}" for c in SLOPE_COLUMNS], (
+        [lg] + [fmt6(reports[lg].slopes[c]) if c in reports[lg].slopes else ""
+                for c in SLOPE_COLUMNS]
+        for lg in leagues))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["league", "or_mov_875"])
-    for lg in leagues:
-        undefined = "or_mov_875" in reports[lg].undefined
-        writer.writerow([lg, "" if undefined else fmt6(reports[lg].or_mov_875)])
-    _atomic_write(out_dir / "table_or.csv", buf.getvalue())
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["league"] + [f"slope_{fmt6(c)}" for c in SLOPE_COLUMNS])
-    for lg in leagues:
-        writer.writerow(
-            [lg] + [
-                fmt6(reports[lg].slopes[c]) if c in reports[lg].slopes else ""
-                for c in SLOPE_COLUMNS
-            ]
-        )
-    _atomic_write(out_dir / "table_slopes.csv", buf.getvalue())
-
-    manifest = {
+    _write_json(out_dir / "manifest.json", {
         "tool": "seasoninfo",
         "version": __version__,
         "created_utc": dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds"),
-        "inputs": [
-            {"path": str(p), "sha256": _sha256(Path(p))} for p in args.inputs
-        ],
-        "reports": payload["leagues"],
-    }
-    _atomic_write(out_dir / "manifest.json",
-                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        "inputs": _digests(args.inputs),
+        "outputs": _digests(outputs),
+    })
     return EXIT_OK
 
 
-def _report_dict(report, rows) -> dict:
-    agg = aggregate_league_curve(rows)
-    bp = None
-    if report.breakpoint is not None:
-        bp = {
-            "psi": _json_num(report.breakpoint.psi),
-            "slope_left": _json_num(report.breakpoint.slope_left),
-            "slope_right": _json_num(report.breakpoint.slope_right),
-            "intercept": _json_num(report.breakpoint.intercept),
-            "sse": _json_num(report.breakpoint.sse),
-            "line_sse": _json_num(report.breakpoint.line_sse),
-            "meaningful": report.breakpoint.meaningful,
-        }
-    out = {
+# The columns of aggregate_league_curve's tuples, as summary.json names them.
+AGGREGATE_KEYS = ("fraction", "games_per_team", "mov_acc_mean", "bt_acc_mean",
+                  "baseline_mean", "mov_acc_min", "mov_acc_max")
+
+
+def _report_dict(report) -> dict:
+    out = _json_value({
         "seasons_used": list(report.seasons_used),
-        "or_mov_875": _json_num(report.or_mov_875),
-        "per_season_or": {s: _json_num(v) for s, v in sorted(report.per_season_or.items())},
-        "slopes": {fmt6(c): _json_num(v) for c, v in sorted(report.slopes.items())},
-        "informativeness_ratios": {
-            k: _json_num(v) for k, v in sorted(report.informativeness_ratios.items())
-        },
-        "breakpoint": bp,
-        "curve": [
-            {
-                "fraction": _json_num(f),
-                "games_per_team": _json_num(x),
-                "mov_acc_mean": _json_num(mov),
-                "bt_acc_mean": _json_num(bt),
-                "baseline_mean": _json_num(base),
-                "mov_acc_min": _json_num(lo),
-                "mov_acc_max": _json_num(hi),
-            }
-            for f, x, mov, bt, base, lo, hi in agg
-        ],
-    }
+        "or_mov_875": report.or_mov_875,
+        "per_season_or": report.per_season_or,
+        "slopes": {fmt6(c): v for c, v in report.slopes.items()},
+        "informativeness_ratios": report.informativeness_ratios,
+        "breakpoint": dataclasses.asdict(report.breakpoint) if report.breakpoint else None,
+        "curve": [dict(zip(AGGREGATE_KEYS, point)) for point in report.curve],
+    })
     if report.undefined:
         out["or_undefined"] = dict(report.undefined)
     return out
@@ -381,18 +352,8 @@ def cmd_synth(args) -> int:
     season, truth = generate_season(spec)
 
     out = Path(args.out)
-    truth_payload = {
-        "strengths": {t: _json_num(v) for t, v in sorted(truth.strengths.items())},
-        "home_adv": _json_num(truth.home_adv),
-        "mov_scale": _json_num(truth.mov_scale),
-        "mov_noise_sd": _json_num(truth.mov_noise_sd),
-        "seed": truth.seed,
-        "n_teams": truth.n_teams,
-        "games_per_team": truth.games_per_team,
-    }
     _atomic_write(out, season_to_csv(season))
-    _atomic_write(out.with_suffix(".truth.json"),
-                  json.dumps(truth_payload, indent=2, sort_keys=True) + "\n")
+    _write_json(out.with_suffix(".truth.json"), _json_value(dataclasses.asdict(truth)))
     return EXIT_OK
 
 

@@ -1,9 +1,9 @@
 """Game-log ingestion: canonical CSV in, validated Season out.
 
 The one accepted input format is a UTF-8 CSV with the exact header
-``date,home,away,home_score,away_score`` (ISO dates, non-negative integer
-scores, LF or CRLF). Ties are kept; downstream code decides what to do
-with them.
+``date,home,away,home_score,away_score`` (ISO dates, integer scores from
+0 to 2**63 - 1, LF or CRLF). Ties are kept; downstream code decides what
+to do with them.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ParseError
 
 CSV_HEADER = ("date", "home", "away", "home_score", "away_score")
+MAX_SCORE = 2**63 - 1  # scores and margins are held as int64
 
 
 class League(str, enum.Enum):
@@ -106,7 +107,8 @@ def parse_season(source, league: League, season_label: str) -> Season:
     """Parse canonical CSV from bytes or a binary stream into a Season.
 
     Raises ParseError naming the offending 1-based line for malformed
-    rows (wrong column count, bad date, non-integer score, home == away)
+    rows (wrong column count, bad date, non-integer score, a score above
+    MAX_SCORE, home == away)
     and for files with no data rows.
     """
     if isinstance(source, (bytes, bytearray)):
@@ -147,6 +149,8 @@ def parse_season(source, league: League, season_label: str) -> Season:
         for s in (hs_s, as_s):
             if not (s.isascii() and s.isdigit()):
                 raise ParseError(f"score {s!r} is not a non-negative integer", line=line_no)
+            if len(s.lstrip("0")) > 19 or int(s) > MAX_SCORE:  # int() refuses 4,300+ digits
+                raise ParseError(f"score {s[:30]} is above {MAX_SCORE}", line=line_no)
             scores.append(int(s))
         games.append(
             Game(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import Game, League, Season, make_game_id
+from .ingest import MAX_SCORE, Game, League, Season, make_game_id
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,17 @@ class SynthSpec:
             raise ConfigError("need at least 2 teams")
         if self.games_per_team < 1:
             raise ConfigError("need at least 1 game per team")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if (self.n_teams * self.games_per_team) % 2 != 0:
             raise ConfigError(
                 f"{self.n_teams} teams x {self.games_per_team} games each is an "
                 "odd number of team-slots; no schedule exists"
             )
+        for name in ("home_adv", "mov_scale", "mov_noise_sd", "strength_sd"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.mov_scale <= 0 or self.mov_noise_sd <= 0:
             raise ConfigError("mov_scale and mov_noise_sd must be positive")
         if (self.strengths is None) == (self.strength_sd is None):
@@ -125,7 +131,12 @@ def generate_season(spec: SynthSpec) -> tuple[Season, SynthTruth]:
 
     eta = np.array([strengths[h] - strengths[a] + spec.home_adv for h, a in matchups])
     noise = rng.normal(0.0, spec.mov_noise_sd, len(matchups))
-    margins = np.rint(spec.mov_scale * eta + noise).astype(int)
+    with np.errstate(over="ignore"):
+        margins = np.rint(spec.mov_scale * eta + noise)
+    if not np.all(np.abs(margins) < MAX_SCORE + 1.0):  # 2.0**63; NaN fails too
+        raise ConfigError(f"a margin exceeds the largest score {MAX_SCORE}; "
+                          "lower mov_scale, mov_noise_sd or the strengths")
+    margins = margins.astype(int)
 
     games = []
     games_per_day = max(1, spec.n_teams // 2)

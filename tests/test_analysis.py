@@ -146,6 +146,13 @@ class TestFitBreakpoint:
         with pytest.raises(ValueError):
             fit_breakpoint([(1.0, 0.5), (2.0, 0.6), (2.0, 0.7), (2.0, 0.8)])
 
+    def test_x_a_few_ulps_apart(self):
+        # Every hinge then lies in the line's span: the one-pass cut is 0/0.
+        xs = [1.0 + k * 2.220446049250313e-16 for k in range(4)]
+        bp = fit_breakpoint(zip(xs, [0.5, 0.51, 0.52, 0.53]))
+        assert xs[0] <= bp.psi <= xs[-1]
+        assert bp.sse <= bp.line_sse
+
     def test_matches_exact_fit_at_every_grid_point(self):
         """The one-pass grid returns, repr for repr, what an exact
         least-squares fit at each of the 999 candidates returns."""

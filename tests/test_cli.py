@@ -1,13 +1,20 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from seasoninfo.cli import main
+from seasoninfo.analysis import CurveRow
+from seasoninfo.cli import fmt6, main, read_curve_file, write_curve_file
 
 CANONICAL = "date,home,away,home_score,away_score\n"
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def toy_csv(tmp_path, name="toy.csv"):
@@ -45,8 +52,7 @@ def test_curve_is_deterministic_and_byte_identical(tmp_path):
     assert manifest["config"]["replicates"] == 2
     assert manifest["config"]["master_seed"] == 9
     assert len(manifest["inputs"][0]["sha256"]) == 64
-    assert manifest["curves"] == json.loads(
-        (tmp_path / "c2.csv.manifest.json").read_text())["curves"]
+    assert manifest["outputs"] == [{"path": str(out1), "sha256": sha256(out1)}]
 
 
 def test_curve_json_output_matches_csv_numbers(tmp_path):
@@ -89,6 +95,34 @@ def test_curve_parse_error_is_data_exit(tmp_path, capsys):
     code = main(["curve", str(bad), "--league", "NFL", "--out", str(tmp_path / "c.csv")])
     assert code == 3
     assert "line 2" in capsys.readouterr().err
+
+
+def test_oversized_score_is_a_data_error(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text(CANONICAL + "2012-01-01,A,B,99999999999999999999999,1\n"
+                   "2012-01-02,B,A,3,1\n", encoding="utf-8")
+    for argv in (["curve", str(big), "--league", "NFL", "--x-grid", "0.5",
+                  "--out", str(tmp_path / "c.csv")], ["validate", str(big)]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
+
+def test_curve_rows_round_trip_through_csv_and_json(tmp_path):
+    rows = [CurveRow("NFL", "2012", 0.125, 2.0, 0.612345, 0.0123456, 1.0, 0.0, 0.57, 3, 1),
+            CurveRow("NBA", "x,y", 0.875, 1 / 3, 0.5, 0.25, 0.0, 2 / 3, 1.0, 0, 99)]
+    written = [dataclasses.replace(r, **{f: float(fmt6(getattr(r, f)))
+                                         for f in ("games_per_team", "sd_mov_acc")})
+               for r in rows]  # six significant digits
+    for suffix in (".csv", ".json"):
+        path = tmp_path / f"curve{suffix}"
+        write_curve_file(path, rows)
+        back = read_curve_file(path)
+        assert back == written
+        for row in back:
+            assert [type(getattr(row, f.name)).__name__ for f in dataclasses.fields(row)] \
+                == [f.type for f in dataclasses.fields(row)]
 
 
 def test_synth_round_trips_and_is_deterministic(tmp_path):
@@ -168,7 +202,8 @@ def test_summary_emits_or_slopes_and_breakpoint(tmp_path):
     assert float(slope_rows[0]["slope_0.25"]) > 0
 
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["reports"]["NBA"]["or_mov_875"] == nba["or_mov_875"]
+    assert manifest["outputs"][0] == {"path": str(out / "summary.json"),
+                                      "sha256": sha256(out / "summary.json")}
     assert len(manifest["inputs"][0]["sha256"]) == 64
 
 
@@ -198,6 +233,42 @@ def test_summary_rejects_malformed_curve_file(tmp_path, capsys):
     code = main(["summary", str(bad), "--out", str(tmp_path / "report")])
     assert code == 3
     assert "bad_curve.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column,value", [
+    ("fraction", "nan"), ("fraction", "0"), ("fraction", "1"), ("games_per_team", "0"),
+    ("games_per_team", "inf"), ("games_per_team", "1e-300"), ("games_per_team", "1e300"),
+    ("mean_bt_acc", "nan"), ("mean_mov_acc", "1.5"), ("baseline_acc", "-0.1"),
+    ("sd_bt_acc", "inf"), ("sd_mov_acc", "-0.01"), ("bt_failures", "-1"),
+    ("mov_failures", "-2")])
+def test_summary_rejects_out_of_range_rows_and_writes_nothing(tmp_path, capsys, column, value):
+    curve = summary_curve_file(tmp_path)
+    with open(curve, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[2][column] = value
+    with open(curve, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    out = tmp_path / "report"
+    assert main(["summary", str(curve), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"row 3: {column}" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [curve.name]
+
+
+@pytest.mark.parametrize("column,value", [("bt_failures", 2.5), ("mov_failures", True),
+                                          ("league", 5), ("season", None), ("fraction", None),
+                                          ("mean_mov_acc", True), ("games_per_team", "14")])
+def test_summary_rejects_json_values_of_the_wrong_type(tmp_path, capsys, column, value):
+    row = dict(league="NFL", season="2012", fraction=0.875, games_per_team=14.0,
+               mean_bt_acc=0.6, sd_bt_acc=0.01, mean_mov_acc=0.6, sd_mov_acc=0.01,
+               baseline_acc=0.55, bt_failures=0, mov_failures=0)
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"curves": [{**row, column: value}]}), encoding="utf-8")
+    assert main(["summary", str(curve), "--out", str(tmp_path / "report")]) == 3
+    assert "malformed curve file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [curve.name]
 
 
 def test_summary_rejects_duplicate_rows_and_writes_nothing(tmp_path, capsys):
@@ -273,7 +344,9 @@ def test_summary_saturated_accuracy_writes_null_with_reason(tmp_path):
     assert set(nfl["or_undefined"]) == {"or_mov_875", "per_season_or.2012"}
     assert "strictly between 0 and 1" in nfl["or_undefined"]["or_mov_875"]
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["reports"]["NFL"] == nfl
+    assert {o["path"]: o["sha256"] for o in manifest["outputs"]} == {
+        str(out / name): sha256(out / name)
+        for name in ("summary.json", "table_or.csv", "table_slopes.csv")}
     assert (out / "table_or.csv").read_text() == "league,or_mov_875\nNFL,\n"
 
 

@@ -44,6 +44,9 @@ def test_parse_rejects_self_game_with_line_number():
     ("2012-09-09,GB,CHI,23.5,10", "float score"),
     ("2012-09-09,GB,CHI,-3,10", "negative score"),
     ("2012-09-09,GB,CHI,,10", "missing score"),
+    ("2012-09-09,GB,CHI,99999999999999999999999,10", "score above int64"),
+    ("2012-09-09,GB,CHI,23,9223372036854775808", "score of 2**63"),
+    ("2012-09-09,GB,CHI,23," + "9" * 5000, "score beyond int()'s digit limit"),
     ("not-a-date,GB,CHI,23,10", "bad date"),
     ("2012-09-09,,CHI,23,10", "empty team"),
 ])
@@ -51,6 +54,11 @@ def test_parse_rejects_malformed_rows(row, why):
     with pytest.raises(ParseError) as err:
         parse(CANONICAL + row + "\n")
     assert err.value.line == 2, why
+
+
+def test_parse_accepts_the_largest_int64_score():
+    season = parse(CANONICAL + "2012-09-09,GB,CHI,0009223372036854775807,0\n")
+    assert season.games[0].home_score == 2**63 - 1
 
 
 def test_parse_rejects_empty_inputs():

@@ -38,6 +38,21 @@ def test_spec_validation():
         SynthSpec(n_teams=4, games_per_team=4, seed=0, strengths={"A": 0.0})
 
 
+@pytest.mark.parametrize("name", ["home_adv", "mov_scale", "mov_noise_sd", "strength_sd"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_requires_finite_parameters(name, value):
+    with pytest.raises(ConfigError, match=name):
+        SynthSpec(n_teams=4, games_per_team=4, seed=0, **{"strength_sd": 1.0, name: value})
+
+
+def test_spec_rejects_negative_seed_and_oversized_margins():
+    with pytest.raises(ConfigError, match="seed"):
+        SynthSpec(n_teams=4, games_per_team=4, seed=-1, strength_sd=1.0)
+    with pytest.raises(ConfigError, match="largest score"):
+        generate_season(SynthSpec(n_teams=4, games_per_team=4, seed=0, strength_sd=1.0,
+                                  mov_scale=1e300))
+
+
 def test_generated_season_satisfies_invariants():
     spec = SynthSpec(n_teams=9, games_per_team=10, seed=5, strength_sd=1.0)
     season, truth = generate_season(spec)
