@@ -81,9 +81,11 @@ def fit_breakpoint(points: Iterable[tuple[float, float]]) -> BreakpointFit:
 
     Candidates step through the observed x-range at resolution
     (x_max - x_min) / 1000, excluding the endpoints by one step, so the
-    returned psi is strictly interior. Ties go to the smaller psi. The
-    two-segment SSE can never exceed the single-line SSE because the line
-    is the c = 0 member of the family.
+    returned psi is strictly interior, unless the x values lie only a few
+    ulps apart: the candidates then round onto the observed x values, the
+    endpoints included, and psi can equal x_min (or x_max). Ties go to the
+    smaller psi. The two-segment SSE can never exceed the single-line SSE
+    because the line is the c = 0 member of the family.
 
     Every candidate's SSE comes from one pass: the hinge column's part
     orthogonal to the line's span, h, cuts the line's SSE by (h.r)^2/(h.h)

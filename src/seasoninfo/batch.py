@@ -53,10 +53,11 @@ def _row_dots(x, runs, extra=0):
 def linear_predictor(coef, home, away):
     """Home edge ``strength(home) - strength(away) + home_adv`` of each game,
     for each row of ``coef`` (one strength per team, then the home
-    advantage) and the games in the same row of ``home``, ``away``."""
-    rows = np.arange(len(coef))[:, None]
-    eta = coef[rows, home]
-    eta -= coef[rows, away]
+    advantage). ``home`` and ``away`` index the flattened ``coef``: row i's
+    team t is key ``i * coef.shape[1] + t``."""
+    flat = coef.ravel()
+    eta = flat[home]
+    eta -= flat[away]
     eta += coef[:, -1:]
     return eta
 
@@ -68,40 +69,55 @@ def win_probability(eta, out=None):
     return np.divide(1.0, np.add(1.0, p, out=out), out=out)
 
 
-def _bt_evaluate(theta, h, a, w, sign, decisive, sizes, runs, penalty, pi=None):
-    """Objective, gradient, win probabilities (0 on ties; into ``pi`` if
-    given) and gradient norm of each row. Row i of ``theta`` holds
-    ``sizes[i]`` strengths, the home advantage, then zeros; ``h``, ``a``
-    index the flattened ``theta`` (any key of the row on a tie, which
-    carries no weight); ``w`` marks home wins, ``sign`` is ``1 - 2w``;
-    ``decisive`` is None if no game is tied; ``runs`` is ``_runs(sizes)``."""
+def _bt_gradient(theta, h, a, w, decisive, sizes, runs, penalty, pi, start=False):
+    """Gradient and gradient norm of each row; its win probabilities (0 on
+    ties) go into ``pi``. Row i of ``theta`` holds ``sizes[i]`` strengths, the
+    home advantage, then zeros; ``h``, ``a`` index the flattened ``theta``
+    (any key of the row on a tie, which carries no weight); ``w`` marks
+    home wins; ``decisive`` is None if no game is tied; ``runs`` is
+    ``_runs(sizes)``. At the ``start``, theta = 0, every win probability is
+    1 / (1 + e^0), exactly 1/2: no gathers, no exponentials."""
     rows = np.arange(len(theta))
     alpha = theta[rows, sizes]
     flat = theta.ravel()
-    eta = flat[h]
-    terms = flat[a]
-    eta -= terms
-    eta += alpha[:, None]
-    # -log pi = log(1 + e^-eta) and -log(1-pi) = log(1 + e^eta) are both
-    # max(0, -+eta) + log1p(e^-|eta|): one exp and one log1p per game. The
-    # objective only gates a step's acceptance. fmax sends NaN to 0 as
-    # np.where(x > 0, x, 0) does; a -0 it keeps is +0 once log1p is added.
-    np.fmax(np.multiply(eta, sign, out=terms), 0.0, out=terms)
-    pi = np.abs(eta, out=pi)
-    for f in (np.negative, np.exp, np.log1p):
-        f(pi, out=pi)
-    terms += pi
-    win_probability(eta, out=pi)
+    if start:
+        pi.fill(0.5)
+        r = np.empty(pi.shape)
+    else:
+        r = flat[h]
+        r -= flat[a]
+        r += alpha[:, None]
+        win_probability(r, out=pi)
     if decisive is not None:
-        terms *= decisive
         pi *= decisive
-    obj = -terms.sum(axis=1) - 0.5 * penalty * (_row_dots(theta, runs) + alpha * alpha)
-    r = np.subtract(w, pi, out=terms)
+    np.subtract(w, pi, out=r)
     grad = np.bincount(h.ravel(), r.ravel(), flat.size).reshape(theta.shape)
     grad -= np.bincount(a.ravel(), r.ravel(), flat.size).reshape(theta.shape)
     grad -= penalty * theta
     grad[rows, sizes] = r.sum(axis=1) - penalty * alpha
-    return obj, grad, pi, np.sqrt(_row_dots(grad, runs, extra=1))
+    return grad, np.sqrt(_row_dots(grad, runs, extra=1))
+
+
+def _bt_objective(theta, rows, h, a, w, decisive, sizes, penalty):
+    """Penalized log-likelihood of rows ``rows`` of ``theta``, the other
+    arguments as for ``_bt_gradient``. -log pi = log(1 + e^-eta) and
+    -log(1-pi) = log(1 + e^eta) are both max(0, -+eta) + log1p(e^-|eta|):
+    one exp and one log1p per game. fmax sends NaN to 0 as
+    np.where(x > 0, x, 0) does; a -0 it keeps is +0 once log1p is added."""
+    n = sizes[rows]
+    alpha = theta[rows, n]
+    flat = theta.ravel()
+    eta = flat[h[rows]]
+    terms = flat[a[rows]]
+    eta -= terms
+    eta += alpha[:, None]
+    np.fmax(np.multiply(eta, 1 - 2 * w[rows], out=terms), 0.0, out=terms)
+    for f in (np.abs, np.negative, np.exp, np.log1p):
+        f(eta, out=eta)
+    terms += eta
+    if decisive is not None:
+        terms *= decisive[rows]
+    return -terms.sum(axis=1) - 0.5 * penalty * (_row_dots(theta[rows], _runs(n)) + alpha * alpha)
 
 
 def _bt_hessian(pi, h, a, n, penalty, base=0):
@@ -155,10 +171,11 @@ def _bt_newton(h, a, w, decisive, n, penalty, tol, max_iter):
     theta = np.zeros((count, width))
     fitted, iterations, norms = theta.copy(), np.zeros(count, dtype=int), np.empty(count)
     ids, iters = np.arange(count), iterations.copy()  # output row, iterations of live rows
-    games = [h, a, w, 1 - 2 * w.astype(np.int8), decisive]
+    games = [h, a, w, decisive]
     pi = np.empty(h.shape)
     runs, stacks = _runs(n), _runs(n, CAP)
-    obj, grad, _, gnorm = _bt_evaluate(theta, *games, n, runs, penalty, pi)
+    grad, gnorm = _bt_gradient(theta, *games, n, runs, penalty, pi, start=True)
+    obj = np.full(count, np.nan)  # objective at theta; NaN until a decision reads it
     live = np.ones(count, dtype=bool)
     while True:
         live &= (gnorm > tol) & (iters < max_iter)
@@ -182,15 +199,23 @@ def _bt_newton(h, a, w, decisive, n, penalty, tol, max_iter):
             step[rows, :size + 1] = np.linalg.solve(hessian, grad[rows, :size + 1, None])[..., 0]
             del hessian  # before the next stack's is built
         # Re-center to shed float drift. A step counts as progress if it
-        # raises the objective or, once objective changes fall below float
-        # resolution, shrinks the gradient; each row halves its own step
-        # until it does. A pass evaluates every row: one that is done
+        # shrinks the gradient or raises the objective; each row halves its
+        # own step until it does. The objective decides only where the norm
+        # did not shrink, so only there is it computed, once per accepted
+        # point. A pass takes the gradient of every row: one that is done
         # holds its accepted parameters, so its pi comes out unchanged.
         scale, todo = np.ones(len(n)), np.arange(len(n))
         cand = theta + step
         _recenter(cand, runs)
         while todo.size:
-            c_obj, c_grad, _, c_gnorm = _bt_evaluate(cand, *games, n, runs, penalty, pi)
+            c_grad, c_gnorm = _bt_gradient(cand, *games, n, runs, penalty, pi)
+            c_obj = np.full(len(n), np.nan)
+            ask = todo[~(c_gnorm[todo] < gnorm[todo])]
+            if ask.size:
+                stale = ask[np.isnan(obj[ask])]
+                if stale.size:
+                    obj[stale] = _bt_objective(theta, stale, *games, n, penalty)
+                c_obj[ask] = _bt_objective(cand, ask, *games, n, penalty)
             ok = (c_obj[todo] > obj[todo]) | (c_gnorm[todo] < gnorm[todo])
             if len(todo) == len(n) and ok.all():
                 theta, obj, grad, gnorm = cand, c_obj, c_grad, c_gnorm

@@ -143,6 +143,8 @@ def evaluate_chunk(columns, n_teams: int, config: ProtocolConfig, fraction: floa
     del train  # the test games are gathered only once the fits are done
     home, away, margin = (col[test_idx] for col in columns)
     del test_idx
+    off = (np.arange(len(margin)) * (n_teams + 1))[:, None]
+    home, away = home + off, away + off  # flat keys into either model's coefficients
     mov_acc = score(mov_predicts_home_win(linear_predictor(mov, home, away)), margin)
     eta = linear_predictor(bt, home, away)
     bt_acc = score(bt_predicts_home_win(win_probability(eta, out=eta)), margin)

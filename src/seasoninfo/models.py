@@ -23,7 +23,8 @@ from .batch import (
     DEFAULT_MAX_ITER,
     DEFAULT_PENALTY,
     DEFAULT_TOL,
-    _bt_evaluate,
+    _bt_gradient,
+    _bt_objective,
     _runs,
     fit_bt_batch,
     fit_mov_batch,
@@ -77,10 +78,9 @@ def bt_objective_gradient(train: Sequence[Game], teams, strengths: Mapping[str, 
     home, away, margin = (col[None] for col in encode_games(train, order))
     theta = np.array([[strengths[t] for t in order] + [home_adv]], dtype=float)
     sizes = np.array([len(order)])
-    w = margin > 0
-    obj, grad, _, _ = _bt_evaluate(theta, home, away, w, 1.0 - 2.0 * w, margin != 0,
-                                   sizes, _runs(sizes), penalty)
-    return float(obj[0]), grad[0]
+    games = (home, away, margin > 0, margin != 0)
+    grad, _ = _bt_gradient(theta, *games, sizes, _runs(sizes), penalty, np.empty(home.shape))
+    return float(_bt_objective(theta, [0], *games, sizes, penalty)[0]), grad[0]
 
 
 def fit_bt_arrays(home, away, margin, n_teams: int, penalty: float = DEFAULT_PENALTY,

@@ -150,7 +150,7 @@ class TestFitBreakpoint:
         # Every hinge then lies in the line's span: the one-pass cut is 0/0.
         xs = [1.0 + k * 2.220446049250313e-16 for k in range(4)]
         bp = fit_breakpoint(zip(xs, [0.5, 0.51, 0.52, 0.53]))
-        assert xs[0] <= bp.psi <= xs[-1]
+        assert bp.psi == xs[0]  # the candidates round onto x_min first
         assert bp.sse <= bp.line_sse
 
     def test_matches_exact_fit_at_every_grid_point(self):

@@ -9,7 +9,9 @@ passes for the BT Hessian, the dense m x n design for the MOV normal
 equations) are restated here as references for the ones that replaced
 them, and so is the boolean mask the splits were first taken with.
 Replicates fitted together in chunks must match, bit for bit, the same
-replicates fitted one at a time, whatever the work units' size.
+replicates fitted one at a time, whatever the work units' size. Newton
+computes the objective only where a step did not shrink the gradient
+norm.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from seasoninfo import (
     predict_mov,
     run_protocol,
 )
-from seasoninfo import harness
+from seasoninfo import batch, harness
 from seasoninfo.harness import (_chunks, _narrow, _split_indices, evaluate_chunk, split_seed,
                                 train_size)
 from seasoninfo.ingest import encode_games
@@ -48,6 +50,7 @@ from seasoninfo.models import (
 )
 from conftest import game_from_margin, season_of
 from oracles import enum_home_baseline, enum_info_metric
+from test_acceptance import FOUR_LEAGUES
 
 
 def _sign(margin: int) -> int:
@@ -394,3 +397,38 @@ def test_lockstep_fit_matches_plain_newton(rows):
         assert coef[k].tobytes() == want.tobytes(), k
         assert iterations[k] == want_iter, k
         assert repr(float(gnorm[k])) == repr(float(want_norm)), k
+
+
+def _count_objective_passes(monkeypatch):
+    """Rows of each objective pass Newton makes from here on."""
+    calls, objective = [], batch._bt_objective
+
+    def counted(theta, rows, *args):
+        calls.append(len(rows))
+        return objective(theta, rows, *args)
+
+    monkeypatch.setattr(batch, "_bt_objective", counted)
+    return calls
+
+
+def test_criterion_7_seasons_never_read_the_objective(monkeypatch):
+    """Every Newton step in the 2,800 cells of criterion 7's four leagues
+    shrinks the gradient norm, so no objective is computed."""
+    calls = _count_objective_passes(monkeypatch)
+    for kw in FOUR_LEAGUES.values():
+        season = generate_season(SynthSpec(**kw))[0]
+        n_games, n_teams = len(season.games), len(season.teams)
+        columns = tuple(map(_narrow, encode_games(season.games, sorted(season.teams))))
+        config = ProtocolConfig(replicates=100, master_seed=kw["seed"])
+        for f, ks in _chunks(config, n_games, n_teams, jobs=1):
+            evaluate_chunk(columns, n_teams, config, f, ks)
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", (378, 586, 650, 1422, 1941, 2855))
+def test_step_halving_reads_the_objective(monkeypatch, seed):
+    """A step that must be halved did not shrink the norm, so the objective
+    decides it; the fits still match plain Newton bit for bit."""
+    calls = _count_objective_passes(monkeypatch)
+    test_lockstep_fit_matches_plain_newton(f"halving-{seed}")
+    assert calls
