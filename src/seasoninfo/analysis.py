@@ -137,6 +137,7 @@ def fit_breakpoint(points: Iterable[tuple[float, float]]) -> BreakpointFit:
 
 
 SLOPE_COLUMNS = (0.25, 0.375, 0.5, 0.875)
+HEADLINE_FRACTION = 0.875  # of or_mov_875 and the informativeness ratios
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ class SummaryReport:
     breakpoint: BreakpointFit | None
     curve: list[tuple[float, ...]]  # aggregate_league_curve(rows)
     # Why an odds ratio above is NaN, keyed "or_mov_875" or
-    # "per_season_or.<season>"; see _odds_ratio_or_reason.
+    # "per_season_or.<season>"; see summarize_league.
     undefined: dict[str, str] = field(default_factory=dict)
 
 
@@ -225,35 +226,37 @@ def _odds_ratio_or_reason(model_acc: float, baseline_acc: float) -> tuple[float,
 
 
 def summarize_league(league: str, rows: Sequence[CurveRow],
-                     slopes_by_league: dict[str, dict[float, float]] | None = None,
-                     ratio_column: float = 0.875) -> SummaryReport:
+                     slopes_by_league: dict[str, dict[float, float]] | None = None
+                     ) -> SummaryReport:
     """Build the per-league summary from its curve rows.
 
     The headline odds ratio compares season-pooled mean MOV accuracy at
-    fraction 0.875 to the pooled home-pick baseline; per-season odds
-    ratios are also kept. Slopes use the aggregated mean curve.
+    HEADLINE_FRACTION to the pooled home-pick baseline (NaN, with the
+    reason in ``undefined``, if no row lies there or an accuracy is 0 or
+    1); per-season odds ratios are also kept. Slopes use the aggregated
+    mean curve.
     ``slopes_by_league`` (when given) supplies the other leagues' slopes
-    for the informativeness ratios at ``ratio_column``.
+    for the informativeness ratios at HEADLINE_FRACTION.
     """
     seasons = tuple(sorted({r.season for r in rows}))
     agg = aggregate_league_curve(rows)
 
-    at_875 = [(x, mov, base) for f, x, mov, _, base, _, _ in agg if abs(f - 0.875) < 1e-9]
+    at_headline = [(mov, base) for f, _, mov, _, base, _, _ in agg
+                   if abs(f - HEADLINE_FRACTION) < 1e-9]
     per_season_or = {}
     undefined = {}
     for s in seasons:
-        srow = [r for r in rows if r.season == s and abs(r.fraction - 0.875) < 1e-9]
+        srow = [r for r in rows if r.season == s and abs(r.fraction - HEADLINE_FRACTION) < 1e-9]
         if srow:
             per_season_or[s], reason = _odds_ratio_or_reason(srow[0].mean_mov_acc,
                                                              srow[0].baseline_acc)
             if reason:
                 undefined[f"per_season_or.{s}"] = reason
-    or_875 = float("nan")
-    if at_875:
-        _, pooled_mov, pooled_base = at_875[0]
-        or_875, reason = _odds_ratio_or_reason(pooled_mov, pooled_base)
-        if reason:
-            undefined["or_mov_875"] = reason
+    or_875, reason = float("nan"), f"undefined: no curve row at fraction {HEADLINE_FRACTION}"
+    if at_headline:
+        or_875, reason = _odds_ratio_or_reason(*at_headline[0])
+    if reason:
+        undefined["or_mov_875"] = reason
 
     triples = [(f, x, mov) for f, x, mov, _, _, _, _ in agg]
     slopes = {}
@@ -263,11 +266,11 @@ def summarize_league(league: str, rows: Sequence[CurveRow],
 
     ratios = {}
     if slopes_by_league:
-        own = slopes.get(ratio_column)
+        own = slopes.get(HEADLINE_FRACTION)
         for other, other_slopes in slopes_by_league.items():
             if other == league:
                 continue
-            theirs = other_slopes.get(ratio_column)
+            theirs = other_slopes.get(HEADLINE_FRACTION)
             if own is not None and theirs:
                 ratios[f"{league}/{other}"] = informativeness_ratio(own, theirs)
 

@@ -1,6 +1,6 @@
 """Fits of many replicates at once.
 
-Each row of (K, m) game columns (``encode_games`` indices and margins) is
+Each row of (K, m) game columns (``encode_rows`` indices and margins) is
 one replicate's training set. The win/loss fit runs damped Newton in
 lockstep over the rows, each with its own step halving; the margin fit
 solves stacked normal equations. Rows are grouped by their number of seen

@@ -145,13 +145,10 @@ def _parse_x_grid(raw: str | None) -> tuple[float, ...]:
 
 
 def _load_seasons(paths, league: League):
-    seasons = []
-    for p in paths:
-        path = Path(p)
+    """(path, season) for each of ``paths``, parsed as the caller asks for it."""
+    for path in map(Path, paths):
         with open(path, "rb") as fh:
-            season = parse_season(fh, league, path.stem)
-        seasons.append((path, season))
-    return seasons
+            yield path, parse_season(fh, league, path.stem)
 
 
 def cmd_curve(args) -> int:
@@ -166,7 +163,7 @@ def cmd_curve(args) -> int:
     labels = [Path(p).stem for p in args.inputs]
     if len(set(labels)) < len(labels):
         raise ConfigError(f"two inputs share a season label (file stem): {labels}")
-    seasons = _load_seasons(args.inputs, league)
+    seasons = list(_load_seasons(args.inputs, league))
 
     rows = []
     for path, season in seasons:
@@ -358,11 +355,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    league = League(args.league)
-    for p in args.inputs:
-        path = Path(p)
-        with open(path, "rb") as fh:
-            season = parse_season(fh, league, path.stem)
+    for path, season in _load_seasons(args.inputs, League(args.league)):
         s = summarize_season(season)
         print(
             f"{path}: {s.n_games} games, {s.n_teams} teams, "

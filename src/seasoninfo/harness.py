@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .batch import fit_bt_batch, fit_mov_batch, linear_predictor, win_probability
-from .ingest import Game, Season, encode_games
+from .ingest import Game, Season
 from .models import bt_predicts_home_win, mov_predicts_home_win, score
 
 DEFAULT_X_GRID = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
@@ -114,7 +114,7 @@ def _split_indices(n_games: int, config: ProtocolConfig, fraction: float, replic
 
 def make_split(season: Season, config: ProtocolConfig, fraction: float,
                replicate: int) -> Split:
-    train, test = _split_indices(len(season.games), config, fraction, [replicate])
+    train, test = _split_indices(len(season.rows), config, fraction, [replicate])
     return Split(train=tuple(season.games[i] for i in train[0].tolist()),
                  test=tuple(season.games[i] for i in test[0].tolist()),
                  fraction=fraction, replicate_index=replicate,
@@ -133,7 +133,7 @@ def evaluate_chunk(columns, n_teams: int, config: ProtocolConfig, fraction: floa
                    replicates) -> list[tuple[float | None, float, float]]:
     """BT accuracy (None if its fit failed), MOV accuracy and home-pick
     baseline of each listed replicate of one fraction, fitted together and
-    each exactly as alone; ``columns`` encode the season (``encode_games``)."""
+    each exactly as alone; ``columns`` encode the season (``Season.columns``)."""
     train_idx, test_idx = _split_indices(len(columns[2]), config, fraction, replicates)
     train = [col[train_idx] for col in columns]
     del train_idx
@@ -187,11 +187,10 @@ def run_protocol(season: Season, config: ProtocolConfig, jobs: int = 1) -> list[
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    n = len(season.games)
+    n = len(season.rows)
     for f in config.x_grid:
         train_size(f, n)  # fail before any work starts
-    state = (tuple(map(_narrow, encode_games(season.games, sorted(season.teams)))),
-             len(season.teams), config)
+    state = (tuple(map(_narrow, season.columns)), len(season.teams), config)
 
     tasks = _chunks(config, n, len(season.teams), jobs)
     if jobs > 1:

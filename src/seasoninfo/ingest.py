@@ -13,6 +13,7 @@ import datetime as dt
 import enum
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -60,23 +61,46 @@ class Game:
 
 @dataclass(frozen=True)
 class Season:
-    """Validated, immutable collection of one league-year's games."""
+    """Validated, immutable collection of one league-year's games: its rows
+    ``(date, home, away, home_score, away_score)`` in file order. Rows given
+    here are taken as validated; ``parse_season`` and ``from_games`` check
+    them. Everything else is derived from the rows on first use."""
 
     league: League
     season_label: str
-    games: tuple[Game, ...]
-    teams: frozenset[str]
+    rows: tuple[tuple[dt.date, str, str, int, int], ...]
+
+    def __post_init__(self):
+        if not self.rows:
+            raise ValueError("season has no games")
 
     @classmethod
     def from_games(cls, league: League, season_label: str, games) -> "Season":
+        """The season of ``games``, which keep their ids as ``games``."""
         games = tuple(games)
-        if not games:
-            raise ValueError("season has no games")
-        ids = [g.game_id for g in games]
-        if len(set(ids)) != len(ids):
+        if len({g.game_id for g in games}) != len(games):
             raise ValueError("duplicate game_id in season")
-        teams = frozenset(t for g in games for t in (g.home, g.away))
-        return cls(league=league, season_label=season_label, games=games, teams=teams)
+        season = cls(league, season_label, game_rows(games))
+        season.__dict__["games"] = games
+        return season
+
+    @cached_property
+    def teams(self) -> frozenset[str]:
+        return frozenset(t for _, home, away, _, _ in self.rows for t in (home, away))
+
+    @cached_property
+    def games(self) -> tuple[Game, ...]:
+        """One ``Game`` per row, with ids ``g00001``, ``g00002``, ... in row order."""
+        return tuple(Game(f"g{i:05d}", *row) for i, row in enumerate(self.rows, start=1))
+
+    @cached_property
+    def columns(self):
+        """Home and away indices into ``sorted(teams)`` and the home margins
+        (``encode_rows``), read-only."""
+        columns = encode_rows(self.rows, sorted(self.teams))
+        for col in columns:
+            col.flags.writeable = False
+        return columns
 
 
 @dataclass(frozen=True)
@@ -88,19 +112,20 @@ class SeasonSummary:
     games_per_team_mean: float
 
 
-def encode_games(games: Sequence[Game], teams: Sequence[str]):
-    """Columnar form of ``games``: home and away indices into ``teams``
-    (a sorted team list) and the signed home margins."""
+def game_rows(games) -> tuple:
+    """``games`` as Season rows."""
+    return tuple((g.date, g.home, g.away, g.home_score, g.away_score) for g in games)
+
+
+def encode_rows(rows, teams: Sequence[str]):
+    """Columnar form of game rows ``(date, home, away, home_score,
+    away_score)``: home and away indices into ``teams`` (a sorted team
+    list) as intp and the signed home margins as int64."""
     index = {t: i for i, t in enumerate(teams)}
-    home = np.array([index[g.home] for g in games], dtype=np.intp)
-    away = np.array([index[g.away] for g in games], dtype=np.intp)
-    margin = np.array([g.margin for g in games], dtype=np.int64)
+    home = np.array([index[r[1]] for r in rows], dtype=np.intp)
+    away = np.array([index[r[2]] for r in rows], dtype=np.intp)
+    margin = np.array([r[3] - r[4] for r in rows], dtype=np.int64)
     return home, away, margin
-
-
-def make_game_id(index: int) -> str:
-    """Sequential id assigned in row order; row 1 becomes ``g00001``."""
-    return f"g{index:05d}"
 
 
 def parse_season(source, league: League, season_label: str) -> Season:
@@ -130,7 +155,7 @@ def parse_season(source, league: League, season_label: str) -> Season:
             f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}", line=1
         )
 
-    games = []
+    rows = []
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue  # ignore a trailing blank line
@@ -152,20 +177,11 @@ def parse_season(source, league: League, season_label: str) -> Season:
             if len(s.lstrip("0")) > 19 or int(s) > MAX_SCORE:  # int() refuses 4,300+ digits
                 raise ParseError(f"score {s[:30]} is above {MAX_SCORE}", line=line_no)
             scores.append(int(s))
-        games.append(
-            Game(
-                game_id=make_game_id(len(games) + 1),
-                date=date,
-                home=home,
-                away=away,
-                home_score=scores[0],
-                away_score=scores[1],
-            )
-        )
+        rows.append((date, home, away, scores[0], scores[1]))
 
-    if not games:
+    if not rows:
         raise ParseError("empty season: file has a header but no games")
-    return Season.from_games(league, season_label, games)
+    return Season(league, season_label, tuple(rows))
 
 
 def season_to_csv(season: Season) -> str:
@@ -173,19 +189,16 @@ def season_to_csv(season: Season) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for g in season.games:
-        writer.writerow([g.date.isoformat(), g.home, g.away, g.home_score, g.away_score])
+    writer.writerows(season.rows)  # str() of a date is its ISO form
     return buf.getvalue()
 
 
 def summarize_season(season: Season) -> SeasonSummary:
-    n = len(season.games)
-    wins = sum(1 for g in season.games if g.margin > 0)
-    ties = sum(1 for g in season.games if g.margin == 0)
+    n, margin = len(season.rows), season.columns[2]
     return SeasonSummary(
         n_games=n,
         n_teams=len(season.teams),
-        home_win_fraction=wins / n,
-        tie_fraction=ties / n,
+        home_win_fraction=float(np.mean(margin > 0)),  # an exact count over n
+        tie_fraction=float(np.mean(margin == 0)),
         games_per_team_mean=2.0 * n / len(season.teams),
     )

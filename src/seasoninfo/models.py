@@ -7,9 +7,9 @@ is fit by damped Newton on a ridge-penalized log-likelihood (the penalty
 keeps tiny, separated training sets well-posed); the margin model has a
 closed-form penalized least-squares solution.
 
-Fits and scoring work on games in columnar form (``encode_games``). The
-fits are single-row calls of the many-replicate fits in ``batch``; the
-``Game``-based public functions encode their arguments and call them.
+Fits and scoring work on games in columnar form (``encode_rows``). The
+``Game``-based public fits encode their arguments and make single-row
+calls of the many-replicate fits in ``batch``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .batch import (
     win_probability,
 )
 from .errors import FitError
-from .ingest import Game, encode_games
+from .ingest import Game, encode_rows, game_rows
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def _encode_train(train: Sequence[Game], teams):
         raise ValueError("training set is empty")
     order = sorted(set(teams))
     try:
-        return order, *encode_games(train, order)
+        return order, *(col[None] for col in encode_rows(game_rows(train), order))
     except KeyError as exc:
         raise ValueError(f"team {exc.args[0]!r} is outside the team set") from None
 
@@ -75,32 +75,12 @@ def bt_objective_gradient(train: Sequence[Game], teams, strengths: Mapping[str, 
     advantage. Tied games are ignored, exactly as in fitting.
     """
     order = sorted(set(teams))
-    home, away, margin = (col[None] for col in encode_games(train, order))
+    home, away, margin = (col[None] for col in encode_rows(game_rows(train), order))
     theta = np.array([[strengths[t] for t in order] + [home_adv]], dtype=float)
     sizes = np.array([len(order)])
     games = (home, away, margin > 0, margin != 0)
     grad, _ = _bt_gradient(theta, *games, sizes, _runs(sizes), penalty, np.empty(home.shape))
     return float(_bt_objective(theta, [0], *games, sizes, penalty)[0]), grad[0]
-
-
-def fit_bt_arrays(home, away, margin, n_teams: int, penalty: float = DEFAULT_PENALTY,
-                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
-    """``fit_bt`` on columnar games over ``n_teams`` teams. Returns the
-    coefficients (one strength per team, then the home advantage), the
-    Newton iterations and the final gradient norm."""
-    coef, iterations, gnorm = fit_bt_batch(home[None], away[None], margin[None], n_teams,
-                                           penalty, tol, max_iter)
-    iterations, gnorm = int(iterations[0]), float(gnorm[0])
-    if np.isnan(gnorm):
-        raise FitError("training set has no decisive (non-tied) games")
-    if gnorm > tol:
-        raise FitError(
-            f"Newton did not converge in {iterations} iterations "
-            f"(gradient norm {gnorm:.3e} > tol {tol:.1e})",
-            iterations=iterations,
-            gradient_norm=gnorm,
-        )
-    return coef[0], iterations, gnorm
 
 
 def fit_bt(train: Sequence[Game], teams, penalty: float = DEFAULT_PENALTY,
@@ -113,19 +93,20 @@ def fit_bt(train: Sequence[Game], teams, penalty: float = DEFAULT_PENALTY,
     reach ``tol`` within ``max_iter`` Newton iterations.
     """
     order, *columns = _encode_train(train, teams)
-    coef, iterations, gnorm = fit_bt_arrays(*columns, len(order), penalty, tol, max_iter)
-    return BtFit(strengths=dict(zip(order, coef[:-1].tolist())), home_adv=float(coef[-1]),
+    coef, iterations, gnorm = fit_bt_batch(*columns, len(order), penalty, tol, max_iter)
+    iterations, gnorm = int(iterations[0]), float(gnorm[0])
+    if np.isnan(gnorm):
+        raise FitError("training set has no decisive (non-tied) games")
+    if gnorm > tol:
+        raise FitError(
+            f"Newton did not converge in {iterations} iterations "
+            f"(gradient norm {gnorm:.3e} > tol {tol:.1e})",
+            iterations=iterations,
+            gradient_norm=gnorm,
+        )
+    return BtFit(strengths=dict(zip(order, coef[0, :-1].tolist())), home_adv=float(coef[0, -1]),
                  penalty=penalty, converged=True, iterations=iterations,
                  final_gradient_norm=gnorm)
-
-
-def fit_mov_arrays(home, away, margin, n_teams: int, penalty: float = DEFAULT_PENALTY):
-    """``fit_mov`` on columnar games over ``n_teams`` teams. Returns the
-    coefficients (one strength per team, then the home advantage) and the
-    residual standard deviation."""
-    coef = fit_mov_batch(home[None], away[None], margin[None], n_teams, penalty)
-    resid = margin.astype(float) - linear_predictor(coef, home[None], away[None])[0]
-    return coef[0], float(np.sqrt((resid @ resid) / len(margin)))
 
 
 def fit_mov(train: Sequence[Game], teams, penalty: float = DEFAULT_PENALTY) -> MovFit:
@@ -135,10 +116,12 @@ def fit_mov(train: Sequence[Game], teams, penalty: float = DEFAULT_PENALTY) -> M
     applies to team strengths only, not the home advantage; with any
     positive penalty the normal equations are full rank.
     """
-    order, *columns = _encode_train(train, teams)
-    coef, residual_sd = fit_mov_arrays(*columns, len(order), penalty)
-    return MovFit(strengths=dict(zip(order, coef[:-1].tolist())),
-                  home_adv=float(coef[-1]), penalty=penalty, residual_sd=residual_sd)
+    order, home, away, margin = _encode_train(train, teams)
+    coef = fit_mov_batch(home, away, margin, len(order), penalty)
+    resid = margin[0].astype(float) - linear_predictor(coef, home, away)[0]
+    return MovFit(strengths=dict(zip(order, coef[0, :-1].tolist())),
+                  home_adv=float(coef[0, -1]), penalty=penalty,
+                  residual_sd=float(np.sqrt((resid @ resid) / len(resid))))
 
 
 def _home_edge(fit, game: Game) -> float:

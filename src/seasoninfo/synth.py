@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import MAX_SCORE, Game, League, Season, make_game_id
+from .ingest import MAX_SCORE, League, Season
 
 
 @dataclass(frozen=True)
@@ -136,24 +136,12 @@ def generate_season(spec: SynthSpec) -> tuple[Season, SynthTruth]:
     if not np.all(np.abs(margins) < MAX_SCORE + 1.0):  # 2.0**63; NaN fails too
         raise ConfigError(f"a margin exceeds the largest score {MAX_SCORE}; "
                           "lower mov_scale, mov_noise_sd or the strengths")
-    margins = margins.astype(int)
+    margins = margins.astype(int).tolist()
 
-    games = []
-    games_per_day = max(1, spec.n_teams // 2)
-    base_date = dt.date(2000, 1, 1)
-    for i, ((home, away), margin) in enumerate(zip(matchups, margins)):
-        games.append(
-            Game(
-                game_id=make_game_id(i + 1),
-                date=base_date + dt.timedelta(days=i // games_per_day),
-                home=home,
-                away=away,
-                home_score=max(int(margin), 0),
-                away_score=max(-int(margin), 0),
-            )
-        )
-
-    season = Season.from_games(League.OTHER, f"synth-{spec.seed}", games)
+    per_day, first_day = max(1, spec.n_teams // 2), dt.date(2000, 1, 1)
+    rows = tuple((first_day + dt.timedelta(days=i // per_day), home, away, max(m, 0), max(-m, 0))
+                 for i, ((home, away), m) in enumerate(zip(matchups, margins)))
+    season = Season(League.OTHER, f"synth-{spec.seed}", rows)
     truth = SynthTruth(
         strengths=strengths,
         home_adv=spec.home_adv,

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from seasoninfo import ingest
 from seasoninfo.analysis import CurveRow
 from seasoninfo.cli import fmt6, main, read_curve_file, write_curve_file
 
@@ -348,6 +349,34 @@ def test_summary_saturated_accuracy_writes_null_with_reason(tmp_path):
         str(out / name): sha256(out / name)
         for name in ("summary.json", "table_or.csv", "table_slopes.csv")}
     assert (out / "table_or.csv").read_text() == "league,or_mov_875\nNFL,\n"
+
+
+def test_summary_without_a_headline_row_leaves_the_cell_empty(tmp_path):
+    season, curve, out = tmp_path / "s.csv", tmp_path / "c.csv", tmp_path / "report"
+    assert main(["synth", "--teams", "8", "--games-per-team", "10", "--seed", "3",
+                 "--out", str(season)]) == 0
+    assert main(["curve", str(season), "--league", "NFL", "--x-grid", "0.25,0.5,0.625,0.75",
+                 "--replicates", "5", "--out", str(curve)]) == 0
+    assert main(["summary", str(curve), "--out", str(out)]) == 0
+
+    nfl = json.loads((out / "summary.json").read_text())["leagues"]["NFL"]
+    assert nfl["or_mov_875"] is None
+    assert nfl["or_undefined"] == {"or_mov_875": "undefined: no curve row at fraction 0.875"}
+    assert (out / "table_or.csv").read_text() == "league,or_mov_875\nNFL,\n"
+
+
+def test_cli_never_builds_a_game(tmp_path, monkeypatch):
+    def refuse(game):
+        raise AssertionError(f"built {game.game_id}")
+
+    monkeypatch.setattr(ingest.Game, "__post_init__", refuse)
+    season, curve = tmp_path / "s.csv", tmp_path / "c.csv"
+    assert main(["synth", "--teams", "8", "--games-per-team", "10", "--seed", "3",
+                 "--out", str(season)]) == 0
+    assert main(["validate", str(season)]) == 0
+    assert main(["curve", str(season), "--league", "NFL", "--replicates", "3",
+                 "--out", str(curve)]) == 0
+    assert main(["summary", str(curve), "--out", str(tmp_path / "report")]) == 0
 
 
 @pytest.mark.parametrize("body", ['{"A": "x", "B": 1.0}', '["A", "B"]', '{"A": [1], "B": 0}',

@@ -40,11 +40,9 @@ from seasoninfo import (
 from seasoninfo import batch, harness
 from seasoninfo.harness import (_chunks, _narrow, _split_indices, evaluate_chunk, split_seed,
                                 train_size)
-from seasoninfo.ingest import encode_games
 from seasoninfo.batch import _bt_hessian, fit_bt_batch, fit_mov_batch
 from seasoninfo.models import (
     bt_predicts_home_win,
-    fit_mov_arrays,
     mov_predicts_home_win,
     score,
 )
@@ -115,7 +113,7 @@ def test_every_cell_matches_the_scalar_path(name):
     season = SEASONS[name]()
     config = ProtocolConfig(x_grid=(0.125, 0.5, 0.875) if name != "no_decisive_game"
                             else (0.5,), replicates=25, master_seed=17)
-    columns = encode_games(season.games, sorted(season.teams))
+    columns = season.columns
     cells = {}
     for f in config.x_grid:
         chunked = {}
@@ -219,12 +217,12 @@ def test_mov_fit_equals_dense_design_solution():
         n_teams = int(rng.integers(2, 14))
         h, a, margin = _random_games(rng, n_teams, int(rng.integers(1, 80)))
         penalty = float(rng.uniform(0.05, 3.0))
-        got, _ = fit_mov_arrays(h, a, margin, n_teams, penalty)
+        got = fit_mov_batch(h[None], a[None], margin[None], n_teams, penalty)[0]
         assert got.tobytes() == dense_mov_coef(h, a, margin, n_teams, penalty).tobytes()
 
 
 def _train_rows(season, config, fraction):
-    columns = encode_games(season.games, sorted(season.teams))
+    columns = season.columns
     train, _ = _split_indices(len(season.games), config, fraction, range(config.replicates))
     return [col[train] for col in columns]
 
@@ -302,7 +300,7 @@ def test_unit_peak_stays_within_the_byte_budget(n_teams, games_per_team):
     ceiling the unit size is chosen by, on MLB- and NFL-shaped seasons."""
     season = _shaped_season(n_teams, games_per_team)
     n_games = len(season.games)
-    columns = tuple(map(_narrow, encode_games(season.games, sorted(season.teams))))
+    columns = tuple(map(_narrow, season.columns))
     config = ProtocolConfig()
     units = _chunks(config, n_games, n_teams, jobs=1)
     size = len(units[0][1])
@@ -418,7 +416,7 @@ def test_criterion_7_seasons_never_read_the_objective(monkeypatch):
     for kw in FOUR_LEAGUES.values():
         season = generate_season(SynthSpec(**kw))[0]
         n_games, n_teams = len(season.games), len(season.teams)
-        columns = tuple(map(_narrow, encode_games(season.games, sorted(season.teams))))
+        columns = tuple(map(_narrow, season.columns))
         config = ProtocolConfig(replicates=100, master_seed=kw["seed"])
         for f, ks in _chunks(config, n_games, n_teams, jobs=1):
             evaluate_chunk(columns, n_teams, config, f, ks)

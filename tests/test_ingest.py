@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import datetime as dt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seasoninfo import League, ParseError, parse_season, season_to_csv, summarize_season
+from seasoninfo import (League, ParseError, Season, parse_season, season_to_csv,
+                        summarize_season)
 from conftest import game_from_margin, make_game, season_of
 
 CANONICAL = "date,home,away,home_score,away_score\n"
@@ -14,6 +16,14 @@ CANONICAL = "date,home,away,home_score,away_score\n"
 
 def parse(text: str, league=League.NFL, label="2012"):
     return parse_season(text.encode("utf-8"), league, label)
+
+
+def game_encoding(games, teams):
+    """The columnar encoding of Game objects that ``Season.columns`` replaced."""
+    index = {t: i for i, t in enumerate(teams)}
+    return (np.array([index[g.home] for g in games], dtype=np.intp),
+            np.array([index[g.away] for g in games], dtype=np.intp),
+            np.array([g.margin for g in games], dtype=np.int64))
 
 
 def test_parse_patriots_texans_row():
@@ -120,6 +130,9 @@ def test_round_trip_property(season):
     text = season_to_csv(season)
     again = parse_season(text.encode("utf-8"), season.league, season.season_label)
     assert again == season
+    assert ([(col.dtype, col.tolist()) for col in season.columns]
+            == [(col.dtype, col.tolist())
+                for col in game_encoding(season.games, sorted(season.teams))])
 
 
 @given(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=200))
@@ -163,3 +176,20 @@ def test_season_rejects_duplicates_and_empty():
         season_of([g, g])
     with pytest.raises(ValueError):
         season_of([])
+
+
+def test_season_rejects_empty_rows():
+    with pytest.raises(ValueError):
+        Season(League.OTHER, "empty", ())
+
+
+def test_from_games_keeps_the_callers_games():
+    games = [make_game(7, "A", "B", 3, 2), make_game(3, "B", "C", 0, 0)]
+    season = season_of(games)
+    assert [id(g) for g in season.games] == [id(g) for g in games]
+
+
+def test_parsed_games_are_numbered_in_row_order():
+    season = parse(CANONICAL + "2012-09-10,B,C,1,0\n2012-09-09,A,B,3,2\n2012-09-11,C,A,0,0\n")
+    assert [(g.game_id, g.home) for g in season.games] == [
+        ("g00001", "B"), ("g00002", "A"), ("g00003", "C")]
