@@ -51,6 +51,21 @@ def informativeness_ratio(slope_a: float, slope_b: float) -> float:
     return slope_a / slope_b
 
 
+def informativeness_ratios(slopes_by_league: dict[str, dict[float, float]]
+                           ) -> dict[tuple[str, str], dict[float, float]]:
+    """``informativeness_ratio`` of each ordered pair (a, b) of distinct
+    leagues at each slope column where a has a slope and b a non-zero one;
+    pairs with no such column are left out."""
+    table = {}
+    for a, slopes_a in slopes_by_league.items():
+        for b, slopes_b in slopes_by_league.items():
+            cols = {col: informativeness_ratio(s, slopes_b[col])
+                    for col, s in slopes_a.items() if a != b and slopes_b.get(col)}
+            if cols:
+                table[a, b] = cols
+    return table
+
+
 @dataclass(frozen=True)
 class BreakpointFit:
     """Continuous two-segment least-squares fit y = a + b*x + c*(x-psi)+."""
@@ -195,10 +210,11 @@ def aggregate_league_curve(rows: Sequence[CurveRow]):
 
     Returns a list of (fraction, mean games_per_team, mean mov accuracy,
     mean bt accuracy, mean baseline, min mov accuracy, max mov accuracy)
-    sorted by fraction.
+    sorted by fraction. Each mean sums its rows in season order, so the
+    result does not depend on the order of ``rows``.
     """
     by_fraction: dict[float, list[CurveRow]] = {}
-    for r in rows:
+    for r in sorted(rows, key=lambda r: r.season):
         by_fraction.setdefault(r.fraction, []).append(r)
     out = []
     for f in sorted(by_fraction):
@@ -233,10 +249,10 @@ def summarize_league(league: str, rows: Sequence[CurveRow],
     The headline odds ratio compares season-pooled mean MOV accuracy at
     HEADLINE_FRACTION to the pooled home-pick baseline (NaN, with the
     reason in ``undefined``, if no row lies there or an accuracy is 0 or
-    1); per-season odds ratios are also kept. Slopes use the aggregated
-    mean curve.
-    ``slopes_by_league`` (when given) supplies the other leagues' slopes
-    for the informativeness ratios at HEADLINE_FRACTION.
+    1); each season's odds ratio is kept the same way. Slopes use the
+    aggregated mean curve. ``slopes_by_league`` (when given) supplies the
+    other leagues' slopes for the informativeness ratios at
+    HEADLINE_FRACTION.
     """
     seasons = tuple(sorted({r.season for r in rows}))
     agg = aggregate_league_curve(rows)
@@ -245,16 +261,14 @@ def summarize_league(league: str, rows: Sequence[CurveRow],
                    if abs(f - HEADLINE_FRACTION) < 1e-9]
     per_season_or = {}
     undefined = {}
+    missing = float("nan"), f"undefined: no curve row at fraction {HEADLINE_FRACTION}"
     for s in seasons:
-        srow = [r for r in rows if r.season == s and abs(r.fraction - HEADLINE_FRACTION) < 1e-9]
-        if srow:
-            per_season_or[s], reason = _odds_ratio_or_reason(srow[0].mean_mov_acc,
-                                                             srow[0].baseline_acc)
-            if reason:
-                undefined[f"per_season_or.{s}"] = reason
-    or_875, reason = float("nan"), f"undefined: no curve row at fraction {HEADLINE_FRACTION}"
-    if at_headline:
-        or_875, reason = _odds_ratio_or_reason(*at_headline[0])
+        srow = [(r.mean_mov_acc, r.baseline_acc) for r in rows
+                if r.season == s and abs(r.fraction - HEADLINE_FRACTION) < 1e-9]
+        per_season_or[s], reason = _odds_ratio_or_reason(*srow[0]) if srow else missing
+        if reason:
+            undefined[f"per_season_or.{s}"] = reason
+    or_875, reason = _odds_ratio_or_reason(*at_headline[0]) if at_headline else missing
     if reason:
         undefined["or_mov_875"] = reason
 
@@ -264,15 +278,9 @@ def summarize_league(league: str, rows: Sequence[CurveRow],
         if any(f <= col + 1e-12 for f, _, _ in triples):
             slopes[col] = constrained_slope(triples, col)
 
-    ratios = {}
-    if slopes_by_league:
-        own = slopes.get(HEADLINE_FRACTION)
-        for other, other_slopes in slopes_by_league.items():
-            if other == league:
-                continue
-            theirs = other_slopes.get(HEADLINE_FRACTION)
-            if own is not None and theirs:
-                ratios[f"{league}/{other}"] = informativeness_ratio(own, theirs)
+    table = informativeness_ratios({**(slopes_by_league or {}), league: slopes})
+    ratios = {f"{a}/{b}": cols[HEADLINE_FRACTION] for (a, b), cols in table.items()
+              if a == league and HEADLINE_FRACTION in cols}
 
     xy = [(x, mov) for _, x, mov, _, _, _, _ in agg]
     breakpoint_fit = None

@@ -15,12 +15,13 @@ import numpy as np
 DEFAULT_PENALTY = 1.0
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
-CAP = 32  # rows per stacked (n+1, n+1) Hessian or normal-equation solve
 
 
 def _seen_rows(home, away, n_teams: int, counted=None):
     """Per row of (K, m) game columns: which teams play in the ``counted``
-    games (default all), and each seen team's index among them."""
+    games (default all), each seen team's index among them, the number of
+    seen teams, and the rows stably ordered by that number (equal systems
+    adjacent)."""
     off = (np.arange(len(home)) * n_teams)[:, None]
     plays = 0
     for side in (home, away):
@@ -28,16 +29,15 @@ def _seen_rows(home, away, n_teams: int, counted=None):
         plays = plays + np.bincount(keys.ravel() if counted is None else keys[counted],
                                     minlength=off.size * n_teams)
     played = plays.reshape(-1, n_teams) > 0
-    return played, np.cumsum(played, axis=1) - 1
+    sizes = played.sum(axis=1)
+    return played, np.cumsum(played, axis=1) - 1, sizes, np.argsort(sizes, kind="stable")
 
 
-def _runs(sizes, cap=None):
+def _runs(sizes):
     """``(size, rows)`` for each run of equal values in sorted ``sizes``,
-    ``rows`` a slice of at most ``cap`` rows (default: the whole run)."""
+    ``rows`` the run's slice; each run is one stacked solve."""
     cuts = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), len(sizes)]
-    step = cap or max(len(sizes), 1)
-    return [(int(sizes[lo]), slice(i, min(i + step, hi)))
-            for lo, hi in zip(cuts, cuts[1:]) for i in range(lo, hi, step)]
+    return [(int(sizes[lo]), slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
 
 def _row_dots(x, runs, extra=0):
@@ -173,7 +173,7 @@ def _bt_newton(h, a, w, decisive, n, penalty, tol, max_iter):
     ids, iters = np.arange(count), iterations.copy()  # output row, iterations of live rows
     games = [h, a, w, decisive]
     pi = np.empty(h.shape)
-    runs, stacks = _runs(n), _runs(n, CAP)
+    runs = _runs(n)
     grad, gnorm = _bt_gradient(theta, *games, n, runs, penalty, pi, start=True)
     obj = np.full(count, np.nan)  # objective at theta; NaN until a decision reads it
     live = np.ones(count, dtype=bool)
@@ -191,10 +191,10 @@ def _bt_newton(h, a, w, decisive, n, penalty, tol, max_iter):
                 keys -= ((keep - np.arange(len(keep))) * width)[:, None]
             theta, obj, grad, gnorm, n, ids, iters, live = (
                 x[keep] for x in (theta, obj, grad, gnorm, n, ids, iters, live))
-            runs, stacks = _runs(n), _runs(n, CAP)
+            runs = _runs(n)
         (h, a), base = games[:2], (np.arange(len(n)) * width)[:, None]
         step = np.zeros_like(theta)
-        for size, rows in stacks:
+        for size, rows in runs:
             hessian = _bt_hessian(pi[rows], h[rows], a[rows], size, penalty, base[rows])
             step[rows, :size + 1] = np.linalg.solve(hessian, grad[rows, :size + 1, None])[..., 0]
             del hessian  # before the next stack's is built
@@ -251,11 +251,8 @@ def fit_bt_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PENA
     coef, iterations = np.zeros((count, n_teams + 1)), np.zeros(count, dtype=int)
     norms = np.full(count, np.nan)
     decisive = margin != 0
-    played, local = _seen_rows(home, away, n_teams, decisive)
-    sizes = played.sum(axis=1)
-    # Rows with a decisive game, stably by seen-team count: equal systems adjacent.
-    order = np.array(sorted(range(count), key=sizes.tolist().__getitem__), dtype=np.intp)
-    order = order[sizes[order] > 0]
+    played, local, sizes, order = _seen_rows(home, away, n_teams, decisive)
+    order = order[sizes[order] > 0]  # rows with a decisive game
     if not order.size:
         return coef, iterations, norms
     played, n, dec = played[order], sizes[order], decisive[order]
@@ -289,9 +286,10 @@ def _solve(A, b):
         return np.concatenate([_solve(A[i:i + 1], b[i:i + 1]) for i in range(len(b))])
 
 
-def _mov_normal_equations(home, away, margin, played, penalty):
+def _mov_normal_equations(home, away, margin, coord, n, penalty):
     """Reduced normal equations (G, n, n) and (G, n) of rows of games
-    between the teams ``played`` marks, n in each row. Coordinates:
+    among n seen teams each, ``coord`` each seen team's index among them
+    (``_seen_rows``; changed in place). Coordinates:
     0..last-1 the strengths of the first n-1 seen teams,
     ``last`` the home advantage, n the last seen team's strength. A game's
     design row is e_home - e_away + e_adv, so the normal equations are the
@@ -299,10 +297,8 @@ def _mov_normal_equations(home, away, margin, played, penalty):
     1997), taken from one integer bincount over (home, away) pairs. Every
     entry is an integer, exact in any summation order.
     """
-    (count, n_teams), m = played.shape, margin.shape[1]
-    n = int(played[0].sum())
+    (count, n_teams), m = coord.shape, margin.shape[1]
     last, k = n - 1, n + 1
-    coord = np.cumsum(played, axis=1) - 1
     coord += coord == last
     block = (np.arange(count) * k)[:, None]
     lookup = (coord + block).ravel()
@@ -341,13 +337,11 @@ def fit_mov_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PEN
     1: strengths, then home advantage); unseen teams keep strength 0."""
     if penalty < 0:
         raise ValueError("penalty must be non-negative")
-    played, _ = _seen_rows(home, away, n_teams)
-    sizes = played.sum(axis=1)
-    order = np.array(sorted(range(len(sizes)), key=sizes.tolist().__getitem__), dtype=np.intp)
+    played, local, sizes, order = _seen_rows(home, away, n_teams)
     coef = np.zeros((len(margin), n_teams + 1))  # unseen teams keep strength 0
-    for n, rows in _runs(sizes[order], CAP):
+    for n, rows in _runs(sizes[order]):
         idx = order[rows]
-        x = _solve(*_mov_normal_equations(home[idx], away[idx], margin[idx], played[idx],
+        x = _solve(*_mov_normal_equations(home[idx], away[idx], margin[idx], local[idx], n,
                                           penalty))
         fitted = np.zeros((len(idx), n_teams + 1))
         fitted[:, :n_teams][played[idx]] = np.concatenate(

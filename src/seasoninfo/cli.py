@@ -29,14 +29,9 @@ import typing
 from pathlib import Path
 
 from . import __version__
-from .analysis import (
-    SLOPE_COLUMNS,
-    CurveRow,
-    informativeness_ratio,
-    summarize_league,
-)
+from .analysis import SLOPE_COLUMNS, CurveRow, informativeness_ratios, summarize_league
 from .errors import ConfigError, FitError, ParseError, SeasonInfoError
-from .harness import DEFAULT_X_GRID, ProtocolConfig, run_protocol
+from .harness import ProtocolConfig, run_protocol
 from .ingest import League, parse_season, season_to_csv, summarize_season
 from .synth import SynthSpec, generate_season
 
@@ -106,6 +101,19 @@ def _digests(paths) -> list[dict]:
     return [{"path": str(p), "sha256": _sha256(Path(p))} for p in paths]
 
 
+def _write_manifest(path: Path, inputs, outputs, **extra) -> None:
+    """The run's manifest: tool, version, time, ``extra``, then the
+    ``inputs`` as given and the sha256 of each of the ``outputs``."""
+    _write_json(path, {
+        "tool": "seasoninfo",
+        "version": __version__,
+        "created_utc": dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds"),
+        **extra,
+        "inputs": inputs,
+        "outputs": _digests(outputs),
+    })
+
+
 # The curve columns are CurveRow's fields, in order. A field of each type
 # is written to CSV and to JSON as below, and read back by calling its type
 # on the CSV text, or from a JSON value that already has that type.
@@ -134,13 +142,18 @@ def _from_json(kind, value):
 
 def _parse_x_grid(raw: str | None) -> tuple[float, ...]:
     if raw is None:
-        return DEFAULT_X_GRID
+        return ProtocolConfig.x_grid
     try:
         grid = tuple(float(part) for part in raw.split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"bad x-grid {raw!r}; expected comma-separated fractions") from None
     if not grid:
         raise ConfigError("x-grid is empty")
+    printed = {}
+    for f in grid:  # two that print alike would write rows no reader can tell apart
+        if printed.setdefault(fmt6(f), f) != f:
+            raise ConfigError(f"x-grid fractions {printed[fmt6(f)]!r} and {f!r} both "
+                              f"print as {fmt6(f)}")
     return grid
 
 
@@ -176,24 +189,10 @@ def cmd_curve(args) -> int:
 
     out = Path(args.out)
     write_curve_file(out, rows)
-    _write_json(out.with_name(out.name + ".manifest.json"), {
-        "tool": "seasoninfo",
-        "version": __version__,
-        "created_utc": dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds"),
-        "league": league.value,
-        "config": {
-            "x_grid": list(config.x_grid),
-            "replicates": config.replicates,
-            "master_seed": config.master_seed,
-            "bt_penalty": config.bt_penalty,
-            "mov_penalty": config.mov_penalty,
-        },
-        "inputs": [
-            {"path": str(path), "season": season.season_label, "sha256": _sha256(path)}
-            for path, season in seasons
-        ],
-        "outputs": _digests([out]),
-    })
+    _write_manifest(out.with_name(out.name + ".manifest.json"), [
+        {"path": str(path), "season": season.season_label, "sha256": _sha256(path)}
+        for path, season in seasons
+    ], [out], league=league.value, config=dataclasses.asdict(config))
     return EXIT_OK
 
 
@@ -255,25 +254,13 @@ def cmd_summary(args) -> int:
         for lg in leagues
     }
 
-    ratio_table = {}
-    for a in leagues:
-        for b in leagues:
-            if a == b:
-                continue
-            cols = {}
-            for col in SLOPE_COLUMNS:
-                sa = slopes_by_league[a].get(col)
-                sb = slopes_by_league[b].get(col)
-                if sa is not None and sb:
-                    cols[fmt6(col)] = _json_num(informativeness_ratio(sa, sb))
-            if cols:
-                ratio_table[f"{a}/{b}"] = cols
-
     payload = {
         "tool": "seasoninfo",
         "version": __version__,
         "leagues": {lg: _report_dict(reports[lg]) for lg in leagues},
-        "informativeness_ratios": ratio_table,
+        "informativeness_ratios": _json_value({
+            f"{a}/{b}": {fmt6(col): ratio for col, ratio in cols.items()}
+            for (a, b), cols in informativeness_ratios(slopes_by_league).items()}),
     }
 
     out_dir = Path(args.out)
@@ -288,13 +275,7 @@ def cmd_summary(args) -> int:
                 for c in SLOPE_COLUMNS]
         for lg in leagues))
 
-    _write_json(out_dir / "manifest.json", {
-        "tool": "seasoninfo",
-        "version": __version__,
-        "created_utc": dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds"),
-        "inputs": _digests(args.inputs),
-        "outputs": _digests(outputs),
-    })
+    _write_manifest(out_dir / "manifest.json", _digests(args.inputs), outputs)
     return EXIT_OK
 
 
@@ -381,10 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output table (.csv or .json)")
     p.add_argument("--x-grid", default=None,
                    help="comma-separated training fractions (default 0.125..0.875)")
-    p.add_argument("--replicates", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bt-penalty", type=float, default=1.0)
-    p.add_argument("--mov-penalty", type=float, default=1.0)
+    p.add_argument("--replicates", type=int, default=ProtocolConfig.replicates)
+    p.add_argument("--seed", type=int, default=ProtocolConfig.master_seed)
+    p.add_argument("--bt-penalty", type=float, default=ProtocolConfig.bt_penalty)
+    p.add_argument("--mov-penalty", type=float, default=ProtocolConfig.mov_penalty)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_curve)
 

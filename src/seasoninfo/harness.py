@@ -15,11 +15,13 @@ import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError
-from .batch import fit_bt_batch, fit_mov_batch, linear_predictor, win_probability
+from .batch import (DEFAULT_MAX_ITER, DEFAULT_PENALTY, DEFAULT_TOL, fit_bt_batch, fit_mov_batch,
+                    linear_predictor, win_probability)
 from .ingest import Game, Season
 from .models import bt_predicts_home_win, mov_predicts_home_win, score
 
@@ -38,10 +40,10 @@ class ProtocolConfig:
     x_grid: tuple[float, ...] = DEFAULT_X_GRID
     replicates: int = 100
     master_seed: int = 0
-    bt_penalty: float = 1.0
-    mov_penalty: float = 1.0
-    bt_tol: float = 1e-8
-    bt_max_iter: int = 100
+    bt_penalty: float = DEFAULT_PENALTY
+    mov_penalty: float = DEFAULT_PENALTY
+    bt_tol: ClassVar[float] = DEFAULT_TOL
+    bt_max_iter: ClassVar[int] = DEFAULT_MAX_ITER
 
     def __post_init__(self):
         object.__setattr__(self, "x_grid", tuple(self.x_grid))

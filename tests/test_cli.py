@@ -10,6 +10,7 @@ import pytest
 from seasoninfo import ingest
 from seasoninfo.analysis import CurveRow
 from seasoninfo.cli import fmt6, main, read_curve_file, write_curve_file
+from seasoninfo.harness import DEFAULT_X_GRID
 
 CANONICAL = "date,home,away,home_score,away_score\n"
 
@@ -228,6 +229,21 @@ def test_summary_two_leagues_emits_ratios(tmp_path):
     assert "NFL/NBA" in payload["leagues"]["NFL"]["informativeness_ratios"]
 
 
+def test_summary_does_not_depend_on_the_order_of_its_inputs(tmp_path):
+    # The four 0.5 rows average to 0.6169605, which prints as 0.61696 or
+    # 0.616961 depending on the order the mean sums them in.
+    paths = []
+    for i, mov in enumerate((0.585222, 0.699213, 0.566543, 0.616864), start=1):
+        paths.append(tmp_path / f"s{i}.csv")
+        write_curve_file(paths[-1], [
+            CurveRow("NFL", f"s{i}", f, 16 * f, 0.6, 0.01, mov if f == 0.5 else 0.5 + f / 4,
+                     0.01, 0.57) for f in DEFAULT_X_GRID])
+    for name, inputs in (("a", paths), ("b", paths[2:] + paths[:2])):
+        assert main(["summary", *map(str, inputs), "--out", str(tmp_path / name)]) == 0
+    for name in ("summary.json", "table_or.csv", "table_slopes.csv"):
+        assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text()
+
+
 def test_summary_rejects_malformed_curve_file(tmp_path, capsys):
     bad = tmp_path / "bad_curve.csv"
     bad.write_text("league,season\nNBA,2012\n", encoding="utf-8")
@@ -312,6 +328,17 @@ def test_curve_rejects_duplicate_fractions_and_seasons(tmp_path, capsys):
         assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
 
 
+def test_curve_rejects_fractions_that_print_alike(tmp_path, capsys):
+    # Both would be written as fraction 0.5, and summary would refuse the file.
+    src = toy_csv(tmp_path)
+    code = main(["curve", str(src), "--league", "NFL", "--replicates", "2", "--x-grid",
+                 "0.5,0.5000001,0.25,0.75,0.875", "--out", str(tmp_path / "c.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "0.5000001" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [src.name]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_curve_rejects_jobs_below_one(tmp_path, capsys, jobs):
     src = toy_csv(tmp_path)
@@ -361,7 +388,9 @@ def test_summary_without_a_headline_row_leaves_the_cell_empty(tmp_path):
 
     nfl = json.loads((out / "summary.json").read_text())["leagues"]["NFL"]
     assert nfl["or_mov_875"] is None
-    assert nfl["or_undefined"] == {"or_mov_875": "undefined: no curve row at fraction 0.875"}
+    assert nfl["per_season_or"] == {"s": None}
+    assert nfl["or_undefined"] == {"or_mov_875": "undefined: no curve row at fraction 0.875",
+                                   "per_season_or.s": "undefined: no curve row at fraction 0.875"}
     assert (out / "table_or.csv").read_text() == "league,or_mov_875\nNFL,\n"
 
 

@@ -3,12 +3,15 @@ Chen, Cheung & Yiu 1998, HKUST-CS98-01).
 
 A curve is a pure function of (season, config): a split's seed hashes its
 fraction, not the fraction's place on the grid, and a season's rows do not
-depend on the other seasons of a ``curve`` call.
+depend on the other seasons of a ``curve`` call. It reads a score only
+through the signs of margins and a fit linear in them. A summary is a pure
+function of the set of curve rows.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import tempfile
 from pathlib import Path
@@ -16,8 +19,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seasoninfo import ProtocolConfig, SynthSpec, generate_season, run_protocol
-from seasoninfo.cli import main
+from seasoninfo import CurveRow, ProtocolConfig, Season, SynthSpec, generate_season, run_protocol
+from seasoninfo.cli import main, write_curve_file
 from seasoninfo.harness import DEFAULT_X_GRID
 from seasoninfo.ingest import season_to_csv
 
@@ -74,3 +77,43 @@ def test_a_multi_season_call_concatenates_the_one_season_calls(drawn, seed):
             assert all(one[0] == header for one in lines)
             assert (tmp / "all.csv").read_text() == header + "".join(
                 "".join(one[1:]) for one in lines)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seasons(), st.sampled_from([2, 4, 1024]), st.integers(0, 2**32))
+def test_scaling_every_score_by_a_power_of_two_changes_no_point(season, c, master_seed):
+    # BT and the baseline read only the signs of margins; the margin fit is
+    # linear in them, and a power-of-two scale is exact in floating point.
+    scaled = Season(season.league, season.season_label,
+                    tuple((d, h, a, c * hs, c * vs) for d, h, a, hs, vs in season.rows))
+    config = ProtocolConfig(replicates=5, master_seed=master_seed)
+    assert repr(run_protocol(scaled, config)) == repr(run_protocol(season, config))
+
+
+def _summary(inputs, out: Path) -> tuple[int, list[bytes]]:
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(["summary", *map(str, inputs), "--out", str(out)])
+    names = ("summary.json", "table_or.csv", "table_slopes.csv")
+    return code, [(out / name).read_bytes() for name in names if code == 0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.lists(st.tuples(seasons(), st.sampled_from(["NFL", "NBA"])), min_size=2, max_size=4),
+       st.integers(0, 2**32))
+def test_summary_reads_only_the_set_of_curve_rows(drawn, seed):
+    config = ProtocolConfig(replicates=4, master_seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files, failed = {".csv": [], ".json": []}, False
+        for i, (season, league) in enumerate(drawn):
+            points = run_protocol(season, config)
+            # A fraction where every BT fit failed has a NaN mean: a row
+            # summary refuses (exit 3), whatever the input order.
+            failed |= any(pt.bt_failures == config.replicates for pt in points)
+            rows = [CurveRow(league, f"s{i}", **dataclasses.asdict(pt)) for pt in points]
+            for suffix, paths in files.items():
+                paths.append(tmp / f"s{i}{suffix}")
+                write_curve_file(paths[-1], rows)
+        code, outputs = _summary(files[".csv"], tmp / "csv")
+        assert code == (3 if failed else 0)
+        assert _summary(files[".json"][::-1], tmp / "json") == (code, outputs)
