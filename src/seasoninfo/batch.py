@@ -74,7 +74,7 @@ def _bt_gradient(theta, h, a, w, decisive, sizes, runs, penalty, pi, start=False
     ties) go into ``pi``. Row i of ``theta`` holds ``sizes[i]`` strengths, the
     home advantage, then zeros; ``h``, ``a`` index the flattened ``theta``
     (any key of the row on a tie, which carries no weight); ``w`` marks
-    home wins; ``decisive`` is None if no game is tied; ``runs`` is
+    home wins and ``decisive`` the decisive games; ``runs`` is
     ``_runs(sizes)``. At the ``start``, theta = 0, every win probability is
     1 / (1 + e^0), exactly 1/2: no gathers, no exponentials."""
     rows = np.arange(len(theta))
@@ -88,8 +88,7 @@ def _bt_gradient(theta, h, a, w, decisive, sizes, runs, penalty, pi, start=False
         r -= flat[a]
         r += alpha[:, None]
         win_probability(r, out=pi)
-    if decisive is not None:
-        pi *= decisive
+    pi *= decisive
     np.subtract(w, pi, out=r)
     grad = np.bincount(h.ravel(), r.ravel(), flat.size).reshape(theta.shape)
     grad -= np.bincount(a.ravel(), r.ravel(), flat.size).reshape(theta.shape)
@@ -115,8 +114,7 @@ def _bt_objective(theta, rows, h, a, w, decisive, sizes, penalty):
     for f in (np.abs, np.negative, np.exp, np.log1p):
         f(eta, out=eta)
     terms += eta
-    if decisive is not None:
-        terms *= decisive[rows]
+    terms *= decisive[rows]
     return -terms.sum(axis=1) - 0.5 * penalty * (_row_dots(theta[rows], _runs(n)) + alpha * alpha)
 
 
@@ -175,7 +173,6 @@ def _bt_newton(h, a, w, decisive, n, penalty, tol, max_iter):
     pi = np.empty(h.shape)
     runs = _runs(n)
     grad, gnorm = _bt_gradient(theta, *games, n, runs, penalty, pi, start=True)
-    obj = np.full(count, np.nan)  # objective at theta; NaN until a decision reads it
     live = np.ones(count, dtype=bool)
     while True:
         live &= (gnorm > tol) & (iters < max_iter)
@@ -186,11 +183,11 @@ def _bt_newton(h, a, w, decisive, n, penalty, tol, max_iter):
             keep = np.flatnonzero(live)
             if not keep.size:
                 return fitted, iterations, norms
-            games, pi = [None if x is None else _front(x, keep) for x in games], _front(pi, keep)
+            games, pi = [_front(x, keep) for x in games], _front(pi, keep)
             for keys in games[:2]:
                 keys -= ((keep - np.arange(len(keep))) * width)[:, None]
-            theta, obj, grad, gnorm, n, ids, iters, live = (
-                x[keep] for x in (theta, obj, grad, gnorm, n, ids, iters, live))
+            theta, grad, gnorm, n, ids, iters, live = (
+                x[keep] for x in (theta, grad, gnorm, n, ids, iters, live))
             runs = _runs(n)
         (h, a), base = games[:2], (np.arange(len(n)) * width)[:, None]
         step = np.zeros_like(theta)
@@ -201,29 +198,25 @@ def _bt_newton(h, a, w, decisive, n, penalty, tol, max_iter):
         # Re-center to shed float drift. A step counts as progress if it
         # shrinks the gradient or raises the objective; each row halves its
         # own step until it does. The objective decides only where the norm
-        # did not shrink, so only there is it computed, once per accepted
-        # point. A pass takes the gradient of every row: one that is done
-        # holds its accepted parameters, so its pi comes out unchanged.
+        # did not shrink, so only there is it computed, at both points. A
+        # pass takes the gradient of every row: one that is done holds its
+        # accepted parameters, so its pi comes out unchanged.
         scale, todo = np.ones(len(n)), np.arange(len(n))
         cand = theta + step
         _recenter(cand, runs)
         while todo.size:
             c_grad, c_gnorm = _bt_gradient(cand, *games, n, runs, penalty, pi)
-            c_obj = np.full(len(n), np.nan)
-            ask = todo[~(c_gnorm[todo] < gnorm[todo])]
-            if ask.size:
-                stale = ask[np.isnan(obj[ask])]
-                if stale.size:
-                    obj[stale] = _bt_objective(theta, stale, *games, n, penalty)
-                c_obj[ask] = _bt_objective(cand, ask, *games, n, penalty)
-            ok = (c_obj[todo] > obj[todo]) | (c_gnorm[todo] < gnorm[todo])
+            ok = c_gnorm[todo] < gnorm[todo]
+            if not ok.all():
+                ask = todo[~ok]
+                ok[~ok] = (_bt_objective(cand, ask, *games, n, penalty)
+                           > _bt_objective(theta, ask, *games, n, penalty))
             if len(todo) == len(n) and ok.all():
-                theta, obj, grad, gnorm = cand, c_obj, c_grad, c_gnorm
+                theta, grad, gnorm = cand, c_grad, c_gnorm
                 iters += 1
                 break
             took = todo[ok]
-            theta[took], obj[took], grad[took] = cand[took], c_obj[took], c_grad[took]
-            gnorm[took] = c_gnorm[took]
+            theta[took], grad[took], gnorm[took] = cand[took], c_grad[took], c_gnorm[took]
             iters[took] += 1
             todo = todo[~ok]
             scale[todo] *= 0.5
@@ -261,10 +254,7 @@ def fit_bt_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PENA
     local = (local[order] + base).ravel()
     off = (np.arange(len(order)) * n_teams)[:, None]
     h, a = local[home[order] + off], local[away[order] + off]
-    if dec.all():
-        dec = None
-    else:
-        h[~dec] = a[~dec] = np.broadcast_to(base, h.shape)[~dec]  # ties carry no weight
+    h[~dec] = a[~dec] = np.broadcast_to(base, h.shape)[~dec]  # ties carry no weight
     theta, iterations[order], norms[order] = _bt_newton(
         h, a, margin[order] > 0, dec, n, penalty, tol, max_iter)
 

@@ -182,7 +182,7 @@ def cmd_curve(args) -> int:
     for path, season in seasons:
         points = run_protocol(season, config, jobs=args.jobs)
         for pt in points:
-            if pt.bt_failures >= config.replicates or pt.mov_failures >= config.replicates:
+            if pt.bt_failures >= config.replicates:
                 raise FitError(f"every replicate failed for {season.season_label} "
                                f"at fraction {pt.fraction}")
             rows.append(CurveRow(league.value, season.season_label, **dataclasses.asdict(pt)))

@@ -195,11 +195,12 @@ def run_protocol(season: Season, config: ProtocolConfig, jobs: int = 1) -> list[
     state = (tuple(map(_narrow, season.columns)), len(season.teams), config)
 
     tasks = _chunks(config, n, len(season.teams), jobs)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))  # a pool forks all its workers at the first submit
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # A few batches of units per worker, not one round trip per unit.
             chunks = list(pool.map(partial(evaluate_chunk, *state), *zip(*tasks),
-                                   chunksize=-(-len(tasks) // (4 * jobs))))
+                                   chunksize=-(-len(tasks) // (4 * workers))))
     else:
         chunks = [evaluate_chunk(*state, *task) for task in tasks]
     results = {(f, k): cell for (f, ks), chunk in zip(tasks, chunks) for k, cell in zip(ks, chunk)}

@@ -61,6 +61,10 @@ class SynthSpec:
             raise ConfigError(
                 f"strengths map has {len(self.strengths)} entries for {self.n_teams} teams"
             )
+        for team in self.strengths or ():  # ids the season CSV carries back unchanged
+            if not team or team != team.strip() or "\r" in team:
+                raise ConfigError(f"team id {team!r} is empty, has leading or trailing "
+                                  "whitespace, or holds a carriage return")
         if self.strength_sd is not None and self.strength_sd < 0:
             raise ConfigError("strength_sd must be non-negative")
 

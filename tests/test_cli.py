@@ -421,6 +421,22 @@ def test_synth_rejects_bad_strengths_file(tmp_path, capsys, body):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("body", ['{"": 0.1, "B": 0.2, "C": 0, "D": -0.3}',
+                                  '{" A": 0.1, "A": 0.2, "C": 0, "D": -0.3}',
+                                  '{"A": 0.1, "B\\n": 0.2, "C": 0, "D": -0.3}',
+                                  '{"A": 0.1, "B\\rB": 0.2, "C": 0, "D": -0.3}'])
+def test_synth_rejects_team_ids_the_parser_would_change(tmp_path, capsys, body):
+    # An empty id fails to parse, a padded one is stripped (" A" becomes
+    # "A"), and a bare carriage return splits the row.
+    strengths = tmp_path / "str.json"
+    strengths.write_text(body, encoding="utf-8")
+    code = main(["synth", "--teams", "4", "--games-per-team", "6", "--seed", "1",
+                 "--strengths", str(strengths), "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "team id" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [strengths]
+
+
 def test_atomic_write_failure_leaves_no_partial_or_temp_file(tmp_path):
     from seasoninfo.cli import _atomic_write
 

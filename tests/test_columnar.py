@@ -383,12 +383,23 @@ def _season_rows(name):
     return (*_train_rows(season, config, fraction), len(season.teams), config.bt_penalty)
 
 
+def _tie_free_rows():
+    """Twelve replicates' train sets from a season without a tied game, so
+    that every row's games are all decisive."""
+    spec = SynthSpec(n_teams=10, games_per_team=8, seed=3, home_adv=0.2,
+                     strength_sd=0.6, mov_scale=7.0, mov_noise_sd=12.0)
+    season = generate_season(spec)[0]
+    assert (season.columns[2] != 0).all()
+    config = ProtocolConfig(replicates=12, master_seed=23)
+    return (*_train_rows(season, config, 0.5), len(season.teams), config.bt_penalty)
+
+
 @pytest.mark.parametrize("rows", [*(f"halving-{s}" for s in (378, 586, 650, 1422, 1941, 2855)),
-                                  *SEASONS])
+                                  *SEASONS, "tie_free"])
 def test_lockstep_fit_matches_plain_newton(rows):
     h, a, margin, n_teams, penalty = (
         _near_separable_rows(int(rows.split("-")[1])) if rows.startswith("halving")
-        else _season_rows(rows))
+        else _tie_free_rows() if rows == "tie_free" else _season_rows(rows))
     coef, iterations, gnorm = fit_bt_batch(h, a, margin, n_teams, penalty)
     for k in range(len(margin)):
         want, want_iter, want_norm = plain_bt_fit(h[k], a[k], margin[k], n_teams, penalty)

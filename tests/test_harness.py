@@ -13,6 +13,7 @@ from seasoninfo import (
     run_protocol,
     summarize_season,
 )
+from seasoninfo import harness
 from seasoninfo.harness import split_seed, train_size
 from conftest import game_from_margin, season_of
 
@@ -127,6 +128,34 @@ def test_run_protocol_reproducible_across_jobs(small_league):
     parallel = run_protocol(season, config, jobs=3)
     assert first == second
     assert first == parallel
+
+
+@pytest.mark.parametrize("jobs,replicates,workers", [(16, 3, 3), (16, 1, None), (2, 12, 2)])
+def test_jobs_start_at_most_one_worker_per_unit(monkeypatch, small_league, jobs, replicates,
+                                                workers):
+    """A pool of ``jobs`` workers forks them all at its first submit, so a
+    call starts at most one per work unit, and none for a single unit."""
+    made = []
+
+    class RecordingPool:  # maps in process
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    season, _ = small_league
+    config = ProtocolConfig(x_grid=(0.5,), replicates=replicates, master_seed=11)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    points = run_protocol(season, config, jobs=jobs)
+    assert made == ([] if workers is None else [workers])
+    assert repr(points) == repr(run_protocol(season, config, jobs=1))
 
 
 def test_huge_strength_spread_is_nearly_fully_predictable():

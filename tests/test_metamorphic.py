@@ -4,8 +4,9 @@ Chen, Cheung & Yiu 1998, HKUST-CS98-01).
 A curve is a pure function of (season, config): a split's seed hashes its
 fraction, not the fraction's place on the grid, and a season's rows do not
 depend on the other seasons of a ``curve`` call. It reads a score only
-through the signs of margins and a fit linear in them. A summary is a pure
-function of the set of curve rows.
+through the signs of margins and a fit linear in them, and a team only
+through its place in the sorted team list. A summary is a pure function of
+the set of curve rows.
 """
 
 from __future__ import annotations
@@ -88,6 +89,21 @@ def test_scaling_every_score_by_a_power_of_two_changes_no_point(season, c, maste
                     tuple((d, h, a, c * hs, c * vs) for d, h, a, hs, vs in season.rows))
     config = ProtocolConfig(replicates=5, master_seed=master_seed)
     assert repr(run_protocol(scaled, config)) == repr(run_protocol(season, config))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seasons(), st.data(), st.integers(0, 2**32))
+def test_an_order_preserving_team_renaming_changes_no_point(season, data, master_seed):
+    # Teams are numbered in sorted order, which a strictly increasing
+    # renaming keeps: every column, so every point, is as it was.
+    teams = sorted(season.teams)
+    names = data.draw(st.lists(st.text(min_size=1, max_size=4), min_size=len(teams),
+                               max_size=len(teams), unique=True))
+    rename = dict(zip(teams, sorted(names)))
+    renamed = Season(season.league, season.season_label,
+                     tuple((d, rename[h], rename[a], hs, vs) for d, h, a, hs, vs in season.rows))
+    config = ProtocolConfig(replicates=5, master_seed=master_seed)
+    assert repr(run_protocol(renamed, config)) == repr(run_protocol(season, config))
 
 
 def _summary(inputs, out: Path) -> tuple[int, list[bytes]]:
