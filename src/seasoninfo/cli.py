@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import datetime as dt
+import errno
 import hashlib
 import io
 import json
@@ -66,52 +67,50 @@ def _json_value(value):
     return value
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write through a uniquely named temp file beside ``path``, then rename
-    it into place, so ``path`` is either untouched or complete; the temp
-    file is removed if anything fails."""
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
-    try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(path: Path, payload) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path: Path, header, rows) -> None:
+def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    return buf.getvalue()
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _digests(paths) -> list[dict]:
-    return [{"path": str(p), "sha256": _sha256(Path(p))} for p in paths]
-
-
-def _write_manifest(path: Path, inputs, outputs, **extra) -> None:
-    """The run's manifest: tool, version, time, ``extra``, then the
-    ``inputs`` as given and the sha256 of each of the ``outputs``."""
-    _write_json(path, {
-        "tool": "seasoninfo",
-        "version": __version__,
-        "created_utc": dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds"),
-        **extra,
-        "inputs": inputs,
-        "outputs": _digests(outputs),
-    })
+def _commit(files, manifest=None, inputs=(), **extra) -> None:
+    """Write ``files`` (target ``Path``: text) as one set, then, if given, the
+    ``manifest``: tool, version, time, ``extra``, ``inputs`` as given and the
+    sha256 of each text's UTF-8 bytes. Every temp file is written, and no
+    target is a directory, before the first rename; the manifest is renamed
+    last, and no temp file is left."""
+    blobs = {path: text.encode("utf-8") for path, text in files.items()}
+    if manifest is not None:
+        blobs[manifest] = _json_text({
+            "tool": "seasoninfo",
+            "version": __version__,
+            "created_utc": dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds"),
+            **extra,
+            "inputs": inputs,
+            "outputs": [{"path": str(path), "sha256": hashlib.sha256(blob).hexdigest()}
+                        for path, blob in blobs.items()],
+        }).encode("utf-8")
+    temps = []
+    try:
+        for path, blob in blobs.items():
+            tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+            with open(tmp, "xb") as fh:
+                temps.append(tmp)
+                fh.write(blob)
+        for path in blobs:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for tmp, path in zip(temps, blobs):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 # The curve columns are CurveRow's fields, in order. A field of each type
@@ -158,10 +157,11 @@ def _parse_x_grid(raw: str | None) -> tuple[float, ...]:
 
 
 def _load_seasons(paths, league: League):
-    """(path, season) for each of ``paths``, parsed as the caller asks for it."""
+    """(path, sha256, season) for each of ``paths``, loaded as the caller asks
+    for it: the file is read once, and the bytes hashed are the bytes parsed."""
     for path in map(Path, paths):
-        with open(path, "rb") as fh:
-            yield path, parse_season(fh, league, path.stem)
+        raw = path.read_bytes()
+        yield path, hashlib.sha256(raw).hexdigest(), parse_season(raw, league, path.stem)
 
 
 def cmd_curve(args) -> int:
@@ -176,10 +176,14 @@ def cmd_curve(args) -> int:
     labels = [Path(p).stem for p in args.inputs]
     if len(set(labels)) < len(labels):
         raise ConfigError(f"two inputs share a season label (file stem): {labels}")
+    try:
+        "".join(labels).encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"a season label (file stem) is not UTF-8: {labels!r}") from None
     seasons = list(_load_seasons(args.inputs, league))
 
     rows = []
-    for path, season in seasons:
+    for _, _, season in seasons:
         points = run_protocol(season, config, jobs=args.jobs)
         for pt in points:
             if pt.bt_failures >= config.replicates:
@@ -188,34 +192,31 @@ def cmd_curve(args) -> int:
             rows.append(CurveRow(league.value, season.season_label, **dataclasses.asdict(pt)))
 
     out = Path(args.out)
-    write_curve_file(out, rows)
-    _write_manifest(out.with_name(out.name + ".manifest.json"), [
-        {"path": str(path), "season": season.season_label, "sha256": _sha256(path)}
-        for path, season in seasons
-    ], [out], league=league.value, config=dataclasses.asdict(config))
+    _commit({out: curve_text(out, rows)}, out.with_name(out.name + ".manifest.json"), [
+        {"path": str(path), "season": season.season_label, "sha256": digest}
+        for path, digest, season in seasons
+    ], league=league.value, config=dataclasses.asdict(config))
     return EXIT_OK
 
 
-def write_curve_file(path: Path, rows) -> None:
-    """Write curve rows as JSON if ``path`` ends in .json, else as CSV."""
-    if path.suffix == ".json":
-        _write_json(path, {"curves": [dict(zip(CURVE_COLUMNS, _encode(row, _TO_JSON)))
+def curve_text(path, rows) -> str:
+    """Curve rows as JSON text if ``path`` ends in .json, else as CSV text."""
+    if Path(path).suffix == ".json":
+        return _json_text({"curves": [dict(zip(CURVE_COLUMNS, _encode(row, _TO_JSON)))
                                       for row in rows]})
-    else:
-        _write_csv(path, CURVE_COLUMNS, (_encode(row, _TO_CSV) for row in rows))
+    return _csv_text(CURVE_COLUMNS, (_encode(row, _TO_CSV) for row in rows))
 
 
-def read_curve_file(path) -> list[CurveRow]:
-    """Load curve rows from a file written by ``curve`` (CSV or JSON)."""
+def read_curve_file(path, data: bytes | None = None) -> list[CurveRow]:
+    """Load curve rows from a file written by ``curve`` (CSV or JSON); ``data``
+    is the file's bytes, if the caller has read them."""
     path = Path(path)
     try:
+        text = (path.read_bytes() if data is None else data).decode("utf-8")
         if path.suffix == ".json":
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            raw_rows, parse = payload["curves"], _from_json
+            raw_rows, parse = json.loads(text)["curves"], _from_json
         else:
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                raw_rows, parse = list(reader), _from_csv
+            raw_rows, parse = list(csv.DictReader(io.StringIO(text, newline=""))), _from_csv
         rows = [CurveRow(**{name: parse(kind, raw[name]) for name, kind in _CURVE_FIELDS})
                 for raw in raw_rows]
     except (KeyError, TypeError, ValueError, OverflowError, csv.Error) as exc:
@@ -231,9 +232,12 @@ def read_curve_file(path) -> list[CurveRow]:
 
 def cmd_summary(args) -> int:
     rows: list[CurveRow] = []
+    inputs = []
     first_seen: dict[tuple[str, str, float], str] = {}
     for p in args.inputs:
-        for row in read_curve_file(p):
+        data = Path(p).read_bytes()
+        inputs.append({"path": str(p), "sha256": hashlib.sha256(data).hexdigest()})
+        for row in read_curve_file(p, data):
             key = (row.league, row.season, row.fraction)
             if key in first_seen:
                 raise ParseError(f"{p}: duplicate curve row for league {row.league}, season "
@@ -265,17 +269,16 @@ def cmd_summary(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [out_dir / name for name in ("summary.json", "table_or.csv", "table_slopes.csv")]
-    _write_json(outputs[0], payload)
-    _write_csv(outputs[1], ["league", "or_mov_875"], (
-        [lg, "" if "or_mov_875" in reports[lg].undefined else fmt6(reports[lg].or_mov_875)]
-        for lg in leagues))
-    _write_csv(outputs[2], ["league"] + [f"slope_{fmt6(c)}" for c in SLOPE_COLUMNS], (
-        [lg] + [fmt6(reports[lg].slopes[c]) if c in reports[lg].slopes else ""
-                for c in SLOPE_COLUMNS]
-        for lg in leagues))
-
-    _write_manifest(out_dir / "manifest.json", _digests(args.inputs), outputs)
+    _commit({
+        out_dir / "summary.json": _json_text(payload),
+        out_dir / "table_or.csv": _csv_text(["league", "or_mov_875"], (
+            [lg, "" if "or_mov_875" in reports[lg].undefined else fmt6(reports[lg].or_mov_875)]
+            for lg in leagues)),
+        out_dir / "table_slopes.csv": _csv_text(
+            ["league"] + [f"slope_{fmt6(c)}" for c in SLOPE_COLUMNS],
+            ([lg] + [fmt6(reports[lg].slopes[c]) if c in reports[lg].slopes else ""
+                     for c in SLOPE_COLUMNS] for lg in leagues)),
+    }, out_dir / "manifest.json", inputs)
     return EXIT_OK
 
 
@@ -305,13 +308,18 @@ def cmd_synth(args) -> int:
     if args.strengths is not None:
         if strength_sd is not None:
             raise ConfigError("give --strengths or --strength-sd, not both")
-        raw = json.loads(Path(args.strengths).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(args.strengths).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"--strengths file is not UTF-8: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("--strengths must hold a JSON object of team: strength")
         try:
             strengths = {str(k): float(v) for k, v in raw.items()}
         except (TypeError, ValueError):
             raise ConfigError("--strengths values must be numbers") from None
+        except OverflowError:  # an integer too large for a float
+            raise ConfigError("--strengths values must be finite") from None
         if not all(math.isfinite(v) for v in strengths.values()):
             raise ConfigError("--strengths values must be finite")
     elif strength_sd is None:
@@ -330,13 +338,13 @@ def cmd_synth(args) -> int:
     season, truth = generate_season(spec)
 
     out = Path(args.out)
-    _atomic_write(out, season_to_csv(season))
-    _write_json(out.with_suffix(".truth.json"), _json_value(dataclasses.asdict(truth)))
+    _commit({out: season_to_csv(season),
+             out.with_suffix(".truth.json"): _json_text(_json_value(dataclasses.asdict(truth)))})
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    for path, season in _load_seasons(args.inputs, League(args.league)):
+    for path, _, season in _load_seasons(args.inputs, League(args.league)):
         s = summarize_season(season)
         print(
             f"{path}: {s.n_games} games, {s.n_teams} teams, "

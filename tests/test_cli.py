@@ -4,12 +4,13 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 
 import pytest
 
 from seasoninfo import ingest
 from seasoninfo.analysis import CurveRow
-from seasoninfo.cli import fmt6, main, read_curve_file, write_curve_file
+from seasoninfo.cli import curve_text, fmt6, main, read_curve_file
 from seasoninfo.harness import DEFAULT_X_GRID
 
 CANONICAL = "date,home,away,home_score,away_score\n"
@@ -119,7 +120,7 @@ def test_curve_rows_round_trip_through_csv_and_json(tmp_path):
                for r in rows]  # six significant digits
     for suffix in (".csv", ".json"):
         path = tmp_path / f"curve{suffix}"
-        write_curve_file(path, rows)
+        path.write_text(curve_text(path, rows), encoding="utf-8")
         back = read_curve_file(path)
         assert back == written
         for row in back:
@@ -235,9 +236,9 @@ def test_summary_does_not_depend_on_the_order_of_its_inputs(tmp_path):
     paths = []
     for i, mov in enumerate((0.585222, 0.699213, 0.566543, 0.616864), start=1):
         paths.append(tmp_path / f"s{i}.csv")
-        write_curve_file(paths[-1], [
+        paths[-1].write_text(curve_text(paths[-1], [
             CurveRow("NFL", f"s{i}", f, 16 * f, 0.6, 0.01, mov if f == 0.5 else 0.5 + f / 4,
-                     0.01, 0.57) for f in DEFAULT_X_GRID])
+                     0.01, 0.57) for f in DEFAULT_X_GRID]), encoding="utf-8")
     for name, inputs in (("a", paths), ("b", paths[2:] + paths[:2])):
         assert main(["summary", *map(str, inputs), "--out", str(tmp_path / name)]) == 0
     for name in ("summary.json", "table_or.csv", "table_slopes.csv"):
@@ -437,18 +438,120 @@ def test_synth_rejects_team_ids_the_parser_would_change(tmp_path, capsys, body):
     assert list(tmp_path.iterdir()) == [strengths]
 
 
-def test_atomic_write_failure_leaves_no_partial_or_temp_file(tmp_path):
-    from seasoninfo.cli import _atomic_write
+def test_commit_failure_leaves_no_partial_or_temp_file(tmp_path, monkeypatch):
+    from seasoninfo import cli
 
     fresh = tmp_path / "fresh.csv"
     kept = tmp_path / "kept.csv"
     kept.write_text("old\n", encoding="utf-8")
-    for path in (fresh, kept):
-        with pytest.raises(UnicodeEncodeError):  # a lone surrogate fails mid-write
-            _atomic_write(path, "a,b\n" * 1000 + "\ud800\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"opened {args}")
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    for files in ({fresh: "a,b\n" * 1000 + "\ud800\n"}, {kept: "a,b\n" * 1000 + "\ud800\n"},
+                  {kept: "new\n", fresh: "a,b\n\ud800"}):
+        with pytest.raises(UnicodeEncodeError):  # a lone surrogate fails before any file opens
+            cli._commit(files, tmp_path / "manifest.json")
+    monkeypatch.undo()
     assert not fresh.exists()
     assert kept.read_text(encoding="utf-8") == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
-    _atomic_write(fresh, "a,b\n")
+    cli._commit({fresh: "a,b\n"})
     assert fresh.read_text(encoding="utf-8") == "a,b\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "kept.csv"]
+
+
+def assert_each_blocked_output_keeps_the_set(tmp_path, run, outputs, blocked):
+    """``run(seed)`` writes ``outputs`` at seed 1. Then each of ``blocked`` in
+    turn is replaced by a directory and ``run(2)`` must exit 3, leave every
+    other output with its seed-1 bytes and leave no temp file. Unblocked,
+    ``run(2)`` changes every output, so the kept bytes are a real check."""
+    assert run(1) == 0
+    before = {p: p.read_bytes() for p in outputs}
+    for target in blocked:
+        target.unlink()
+        target.mkdir()
+        assert run(2) == 3
+        assert {p: p.read_bytes() for p in outputs if p != target} == \
+            {p: b for p, b in before.items() if p != target}
+        assert target.is_dir() and not list(target.iterdir())
+        assert not list(tmp_path.rglob("*.tmp"))
+        target.rmdir()
+        target.write_bytes(before[target])
+    assert run(2) == 0
+    assert all(p.read_bytes() != before[p] for p in outputs)
+
+
+def test_curve_with_a_blocked_manifest_leaves_the_output_set_as_it_was(tmp_path, capsys):
+    season, out = tmp_path / "s.csv", tmp_path / "c.csv"
+    assert main(["synth", "--teams", "8", "--games-per-team", "10", "--seed", "3",
+                 "--out", str(season)]) == 0
+    manifest = tmp_path / "c.csv.manifest.json"
+    assert_each_blocked_output_keeps_the_set(tmp_path, lambda seed: main([
+        "curve", str(season), "--league", "NFL", "--replicates", "5", "--seed", str(seed),
+        "--out", str(out)]), [out, manifest], [manifest])
+    assert "Is a directory" in capsys.readouterr().err
+
+
+def test_summary_with_a_blocked_output_leaves_the_output_set_as_it_was(tmp_path, capsys):
+    season, curve, out = tmp_path / "s.csv", tmp_path / "c.csv", tmp_path / "report"
+    assert main(["synth", "--teams", "10", "--games-per-team", "20", "--seed", "3",
+                 "--out", str(season)]) == 0
+
+    def run(seed):
+        assert main(["curve", str(season), "--league", "NFL", "--replicates", "5",
+                     "--seed", str(seed), "--out", str(curve)]) == 0
+        return main(["summary", str(curve), "--out", str(out)])
+
+    outputs = [out / n for n in ("summary.json", "table_or.csv", "table_slopes.csv",
+                                 "manifest.json")]
+    assert_each_blocked_output_keeps_the_set(tmp_path, run, outputs, outputs[1:])
+    assert "Is a directory" in capsys.readouterr().err
+
+
+def test_synth_with_a_blocked_truth_file_leaves_the_output_set_as_it_was(tmp_path, capsys):
+    out, truth = tmp_path / "t.csv", tmp_path / "t.truth.json"
+    assert_each_blocked_output_keeps_the_set(tmp_path, lambda seed: main([
+        "synth", "--teams", "4", "--games-per-team", "6", "--seed", str(seed),
+        "--out", str(out)]), [out, truth], [truth])
+    assert "Is a directory" in capsys.readouterr().err
+
+
+def test_curve_manifest_hashes_the_input_it_parsed_when_out_is_the_input(tmp_path):
+    season = tmp_path / "same.csv"
+    assert main(["synth", "--teams", "8", "--games-per-team", "10", "--seed", "3",
+                 "--out", str(season)]) == 0
+    parsed = sha256(season)
+    assert main(["curve", str(season), "--league", "NFL", "--replicates", "5",
+                 "--out", str(season)]) == 0
+    manifest = json.loads((tmp_path / "same.csv.manifest.json").read_text())
+    assert manifest["inputs"] == [{"path": str(season), "season": "same", "sha256": parsed}]
+    assert manifest["outputs"] == [{"path": str(season), "sha256": sha256(season)}]
+    assert sha256(season) != parsed
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_curve_rejects_a_season_label_that_is_not_utf8(tmp_path, capsys, suffix):
+    # The file stem is the season label, and no UTF-8 output can hold it.
+    src = toy_csv(tmp_path, name=os.fsdecode(b"x\xff.csv"))
+    code = main(["curve", str(src), "--league", "NFL", "--x-grid", "0.5", "--replicates", "2",
+                 "--out", str(tmp_path / f"c{suffix}")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [src]
+
+
+@pytest.mark.parametrize("body,code,message", [
+    (b'{"A": 1' + b"0" * 400 + b', "B": 0}', 2, "--strengths values must be finite"),
+    (b'{"A": 1, "\xff": 0}', 3, "--strengths file is not UTF-8")],
+    ids=["integer_too_large_for_a_float", "not_utf8"])
+def test_synth_refuses_a_strengths_file_it_cannot_read(tmp_path, capsys, body, code, message):
+    strengths = tmp_path / "str.json"
+    strengths.write_bytes(body)
+    assert main(["synth", "--teams", "2", "--games-per-team", "4", "--seed", "3",
+                 "--strengths", str(strengths), "--out", str(tmp_path / "s.csv")]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [strengths]

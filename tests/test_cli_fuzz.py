@@ -1,6 +1,7 @@
 """Property test of the CLI contract: whatever season CSVs, curve files and
 flags ``main`` is given, it exits 0, 2, 3 or 4, prints no traceback and
-leaves no temp file; on a non-zero exit it leaves no output at all.
+leaves no temp file; on a non-zero exit it adds no path and changes no
+file's bytes.
 
 Each input is drawn valid and then, half of the time, given one edit from
 a list of malformed or boundary values, so that both the rejections and
@@ -154,17 +155,23 @@ def run(argv) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def snapshot(tmp: Path) -> dict:
+    """Every path under ``tmp``, with a file's bytes (None for a directory)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in tmp.rglob("*")}
+
+
 def check_run(tmp: Path, argv, outputs) -> int:
-    before = set(tmp.rglob("*"))
+    before = snapshot(tmp)
     code, err = run(argv)
     assert code in (0, 2, 3, 4), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
-    left = set(tmp.rglob("*")) - before
+    after = snapshot(tmp)
+    left = set(after) - set(before)
     assert not [p for p in left if p.name.endswith(".tmp")], (argv, left)
     if code == 0:
         assert all(p.exists() for p in outputs), (argv, left)
     else:
-        assert not left, (argv, code, left)
+        assert after == before, (argv, code, left)
     return code
 
 

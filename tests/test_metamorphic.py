@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seasoninfo import CurveRow, ProtocolConfig, Season, SynthSpec, generate_season, run_protocol
-from seasoninfo.cli import main, write_curve_file
+from seasoninfo.cli import curve_text, main
 from seasoninfo.harness import DEFAULT_X_GRID
 from seasoninfo.ingest import season_to_csv
 
@@ -129,7 +129,7 @@ def test_summary_reads_only_the_set_of_curve_rows(drawn, seed):
             rows = [CurveRow(league, f"s{i}", **dataclasses.asdict(pt)) for pt in points]
             for suffix, paths in files.items():
                 paths.append(tmp / f"s{i}{suffix}")
-                write_curve_file(paths[-1], rows)
+                paths[-1].write_text(curve_text(paths[-1], rows), encoding="utf-8")
         code, outputs = _summary(files[".csv"], tmp / "csv")
         assert code == (3 if failed else 0)
         assert _summary(files[".json"][::-1], tmp / "json") == (code, outputs)
