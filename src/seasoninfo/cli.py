@@ -133,9 +133,12 @@ def _from_csv(kind, text):
 
 
 def _from_json(kind, value):
-    """``value`` as ``kind``; a float field also takes a JSON integer."""
+    """``value`` as ``kind``; a float field also takes a JSON integer, and a
+    string must encode to UTF-8 (a lone surrogate escape does not)."""
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise TypeError(f"{value!r} is not a JSON {kind.__name__}")
+    if kind is str:
+        value.encode("utf-8")  # raises UnicodeEncodeError, a ValueError
     return kind(value)
 
 
@@ -315,8 +318,8 @@ def cmd_synth(args) -> int:
         if not isinstance(raw, dict):
             raise ConfigError("--strengths must hold a JSON object of team: strength")
         try:
-            strengths = {str(k): float(v) for k, v in raw.items()}
-        except (TypeError, ValueError):
+            strengths = {str(k): _from_json(float, v) for k, v in raw.items()}
+        except TypeError:
             raise ConfigError("--strengths values must be numbers") from None
         except OverflowError:  # an integer too large for a float
             raise ConfigError("--strengths values must be finite") from None

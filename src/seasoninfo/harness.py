@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
+import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -166,6 +166,17 @@ def _chunks(config: ProtocolConfig, n_games: int, n_teams: int,
             for f in config.x_grid for lo in range(0, config.replicates, size)]
 
 
+def _evaluate_share(send, state, share) -> None:
+    """Helper process body: evaluate ``share``'s units and send back
+    (True, their results) or (False, the exception), once."""
+    try:
+        result = True, [evaluate_chunk(*state, *task) for task in share]
+    except Exception as exc:  # re-raised by the caller
+        result = False, exc
+    send.send(result)
+    send.close()
+
+
 def _narrow(col):
     """``col`` in the smallest integer type that holds it: columns are only
     compared, or added to wider index arrays."""
@@ -184,8 +195,11 @@ def run_protocol(season: Season, config: ProtocolConfig, jobs: int = 1) -> list[
     split, accuracies averaged. Replicates whose fit fails are dropped
     from that model's average and counted in the output.
 
-    ``jobs`` only controls parallelism; results are reduced by
-    (fraction, replicate) key and are bit-identical for any job count.
+    ``jobs`` only controls parallelism: the work units are dealt into
+    fixed interleaved shares, one per worker, at most one worker per unit
+    and per usable CPU. The caller evaluates the first share and a helper
+    process each other one. Results are reduced by (fraction, replicate)
+    key and are bit-identical for any job count.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -194,16 +208,41 @@ def run_protocol(season: Season, config: ProtocolConfig, jobs: int = 1) -> list[
         train_size(f, n)  # fail before any work starts
     state = (tuple(map(_narrow, season.columns)), len(season.teams), config)
 
+    # more workers than the CPUs this process may use only take turns
+    jobs = min(jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
     tasks = _chunks(config, n, len(season.teams), jobs)
-    workers = min(jobs, len(tasks))  # a pool forks all its workers at the first submit
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # A few batches of units per worker, not one round trip per unit.
-            chunks = list(pool.map(partial(evaluate_chunk, *state), *zip(*tasks),
-                                   chunksize=-(-len(tasks) // (4 * workers))))
-    else:
-        chunks = [evaluate_chunk(*state, *task) for task in tasks]
-    results = {(f, k): cell for (f, ks), chunk in zip(tasks, chunks) for k, cell in zip(ks, chunk)}
+    workers = min(jobs, len(tasks))
+    shares = [tasks[i::workers] for i in range(workers)]
+    helpers = []  # (process, read end of its pipe)
+    read = 0  # helpers whose pipe has been read
+    try:
+        for share in shares[1:]:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            helper = multiprocessing.Process(target=_evaluate_share, args=(send, state, share))
+            helper.start()
+            send.close()  # the helper's death then ends the pipe, and no later helper holds it
+            helpers.append((helper, recv))
+        chunks = [[evaluate_chunk(*state, *task) for task in shares[0]]]
+        for helper, recv in helpers:
+            try:
+                ok, got = recv.recv()
+            except EOFError:
+                helper.join()
+                raise RuntimeError(f"a --jobs helper process exited with code "
+                                   f"{helper.exitcode} without sending its results") from None
+            read += 1
+            if not ok:
+                raise got
+            chunks.append(got)
+    finally:
+        for helper, _ in helpers[read:]:
+            helper.terminate()  # it may be blocked sending a result no one will read
+        for helper, recv in helpers:
+            recv.close()
+            helper.join()
+    results = {(f, k): cell for share, got in zip(shares, chunks)
+               for (f, ks), chunk in zip(share, got) for k, cell in zip(ks, chunk)}
 
     points = []
     for f in config.x_grid:

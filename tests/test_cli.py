@@ -277,7 +277,8 @@ def test_summary_rejects_out_of_range_rows_and_writes_nothing(tmp_path, capsys, 
 
 @pytest.mark.parametrize("column,value", [("bt_failures", 2.5), ("mov_failures", True),
                                           ("league", 5), ("season", None), ("fraction", None),
-                                          ("mean_mov_acc", True), ("games_per_team", "14")])
+                                          ("mean_mov_acc", True), ("games_per_team", "14"),
+                                          ("league", "\udcff"), ("season", "2012\udcff")])
 def test_summary_rejects_json_values_of_the_wrong_type(tmp_path, capsys, column, value):
     row = dict(league="NFL", season="2012", fraction=0.875, games_per_team=14.0,
                mean_bt_acc=0.6, sd_bt_acc=0.01, mean_mov_acc=0.6, sd_mov_acc=0.01,
@@ -410,7 +411,8 @@ def test_cli_never_builds_a_game(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("body", ['{"A": "x", "B": 1.0}', '["A", "B"]', '{"A": [1], "B": 0}',
-                                  '{"A": NaN, "B": 0}'])
+                                  '{"A": NaN, "B": 0}', '{"A": "1.5", "B": true}',
+                                  '{"A": 1.5, "B": true}'])
 def test_synth_rejects_bad_strengths_file(tmp_path, capsys, body):
     strengths = tmp_path / "str.json"
     strengths.write_text(body, encoding="utf-8")
@@ -419,7 +421,7 @@ def test_synth_rejects_bad_strengths_file(tmp_path, capsys, body):
                  "--strengths", str(strengths), "--out", str(out)])
     assert code == 2
     assert "--strengths" in capsys.readouterr().err
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [strengths]
 
 
 @pytest.mark.parametrize("body", ['{"": 0.1, "B": 0.2, "C": 0, "D": -0.3}',

@@ -1,7 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import seasoninfo
 
 from seasoninfo import (
     ConfigError,
@@ -14,6 +25,7 @@ from seasoninfo import (
     summarize_season,
 )
 from seasoninfo import harness
+from seasoninfo.cli import main
 from seasoninfo.harness import split_seed, train_size
 from conftest import game_from_margin, season_of
 
@@ -130,32 +142,158 @@ def test_run_protocol_reproducible_across_jobs(small_league):
     assert first == parallel
 
 
+def usable_cpus(monkeypatch, cpus, affinity=True):
+    """Make this process see ``cpus`` usable CPUs, through
+    ``os.sched_getaffinity`` or, without it, through ``os.cpu_count``."""
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+def record_helpers(monkeypatch) -> list:
+    """Replace ``multiprocessing.Process`` for ``run_protocol``: each helper
+    started is recorded and runs its share in this process, so no process is
+    made. Returns the list of the helpers' shares."""
+    shares = []
+
+    class InlineProcess:
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+
+        def start(self):
+            shares.append(self.args[-1])
+            self.target(*self.args)  # sends its few results before anyone reads them
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(harness.multiprocessing, "Process", InlineProcess)
+    return shares
+
+
 @pytest.mark.parametrize("jobs,replicates,workers", [(16, 3, 3), (16, 1, None), (2, 12, 2)])
 def test_jobs_start_at_most_one_worker_per_unit(monkeypatch, small_league, jobs, replicates,
                                                 workers):
-    """A pool of ``jobs`` workers forks them all at its first submit, so a
-    call starts at most one per work unit, and none for a single unit."""
-    made = []
-
-    class RecordingPool:  # maps in process
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
+    """``--jobs N`` uses the caller plus N - 1 helpers, at most one worker
+    per work unit, so a single unit runs in the caller alone."""
     season, _ = small_league
     config = ProtocolConfig(x_grid=(0.5,), replicates=replicates, master_seed=11)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    usable_cpus(monkeypatch, 64)
+    shares = record_helpers(monkeypatch)
     points = run_protocol(season, config, jobs=jobs)
-    assert made == ([] if workers is None else [workers])
+    assert len(shares) == (0 if workers is None else workers - 1)
     assert repr(points) == repr(run_protocol(season, config, jobs=1))
+
+
+@pytest.mark.parametrize("cpus,affinity,helpers", [(3, True, 2), (1, True, 0), (4, False, 3),
+                                                   (None, False, 0)])
+def test_jobs_are_capped_at_the_usable_cpus(monkeypatch, small_league, cpus, affinity, helpers):
+    season, _ = small_league
+    config = ProtocolConfig(x_grid=(0.5,), replicates=12, master_seed=11)
+    usable_cpus(monkeypatch, cpus, affinity)
+    shares = record_helpers(monkeypatch)
+    points = run_protocol(season, config, jobs=1000)
+    assert len(shares) == helpers
+    # units are sized for the capped count (at least two per worker), not
+    # one replicate each as for 1000 workers
+    assert {len(ks) for share in shares for _, ks in share} <= {2}
+    assert repr(points) == repr(run_protocol(season, config, jobs=1))
+
+
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="the patched evaluate_chunk reaches helpers through fork")
+
+
+@contextlib.contextmanager
+def within(seconds: int):
+    """Fail the test, rather than hang, if the body takes longer."""
+    def expire(signum, frame):  # not an OSError, which a wait for a process swallows
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def helper_run(monkeypatch, small_league):
+    """Run ``run_protocol`` with one real helper, ``evaluate_chunk`` replaced
+    by ``in_helper`` in the helper and by ``in_caller`` in this process.
+    Any process a failing run leaves behind is stopped afterwards."""
+    season, _ = small_league
+    config = ProtocolConfig(x_grid=(0.5,), replicates=12, master_seed=11)
+    caller = os.getpid()
+
+    def run(in_helper, in_caller=harness.evaluate_chunk):
+        monkeypatch.setattr(harness, "evaluate_chunk", lambda *args: (
+            in_caller if os.getpid() == caller else in_helper)(*args))
+        with within(60):
+            return run_protocol(season, config, jobs=2)
+
+    usable_cpus(monkeypatch, 2)
+    yield run
+    for left in multiprocessing.active_children():
+        left.terminate()
+        left.join()
+
+
+@needs_fork
+def test_an_exception_in_a_helper_reaches_the_caller(helper_run):
+    def fail(*args):
+        raise ZeroDivisionError("in a helper")
+
+    with pytest.raises(ZeroDivisionError, match="in a helper"):
+        helper_run(fail)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_helper_that_dies_without_results_is_an_error_not_a_hang(helper_run):
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        helper_run(lambda *args: os._exit(7))
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_an_exception_in_the_callers_share_stops_a_blocked_helper(helper_run):
+    def fail(*args):
+        time.sleep(0.5)  # the helper is by then blocked sending its results
+        raise ZeroDivisionError("in the caller")
+
+    def large(*args):  # pickles to several times a 64 kB pipe buffer
+        return [(float(i), 0.5, 0.5) for i in range(20_000)]
+
+    start = time.perf_counter()
+    with pytest.raises(ZeroDivisionError, match="in the caller"):
+        helper_run(large, in_caller=fail)
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_jobs_write_buffered_stdout_once(tmp_path):
+    """Helpers start with this process's stdio buffers flushed, so text
+    printed before the call is written once, not once per process."""
+    season, curve = tmp_path / "s.csv", tmp_path / "c.csv"
+    assert main(["synth", "--teams", "8", "--games-per-team", "10", "--seed", "3",
+                 "--out", str(season)]) == 0
+    argv = ["curve", str(season), "--league", "NFL", "--replicates", "12", "--x-grid", "0.5",
+            "--jobs", "2", "--out", str(curve)]
+    script = ("import os; os.sched_getaffinity = lambda pid: {0, 1}\n"  # a helper on any machine
+              "from seasoninfo.cli import main\n"
+              f"print('x', end=''); raise SystemExit(main({argv!r}))")
+    path = [str(Path(seasoninfo.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
+    assert (run.returncode, run.stdout) == (0, b"x"), run.stderr
 
 
 def test_huge_strength_spread_is_nearly_fully_predictable():
