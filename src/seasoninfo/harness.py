@@ -27,11 +27,14 @@ from .models import bt_predicts_home_win, mov_predicts_home_win, score
 
 DEFAULT_X_GRID = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
 # A work unit pays numpy's per-call overhead once for all its replicates;
-# its tracemalloc peak stays within UNIT_BYTES, which 19 NFL-shaped
-# replicates (5,000 season games) reached when units were sized by games.
-# Per replicate, a unit of the size chosen here peaks below GAME_BYTES per
-# season game plus TEAM_BYTES per entry of a (teams + 1)^2 system (measured).
-UNIT_BYTES = 715_000
+# its tracemalloc peak stays within UNIT_BYTES. The budget comes from a sweep
+# of CPU per replicate against unit size on the four league shapes of
+# acceptance criterion 7 (BENCH_13.json): smaller units spread the overhead
+# over fewer replicates, and units that peak past about 2-3 MB outgrow a
+# 4 MiB L2 cache, so time per replicate rises again. Per replicate, a unit
+# peaks below GAME_BYTES per season game plus TEAM_BYTES per entry of a
+# (teams + 1)^2 system (measured).
+UNIT_BYTES = 2_500_000
 GAME_BYTES, TEAM_BYTES = 46, 21
 
 

@@ -294,10 +294,11 @@ def _shaped_season(n_teams, games_per_team):
     return generate_season(spec)[0]
 
 
-@pytest.mark.parametrize("n_teams,games_per_team", [(30, 162), (32, 16)])
+@pytest.mark.parametrize("n_teams,games_per_team", [(30, 162), (30, 82), (32, 16), (64, 32)])
 def test_unit_peak_stays_within_the_byte_budget(n_teams, games_per_team):
     """A work unit's tracemalloc peak per replicate stays under the measured
-    ceiling the unit size is chosen by, on MLB- and NFL-shaped seasons."""
+    ceiling the unit size is chosen by, on MLB-, NBA- and NFL-shaped
+    seasons and on a 64-team one, where the (teams + 1)^2 systems dominate."""
     season = _shaped_season(n_teams, games_per_team)
     n_games = len(season.games)
     columns = tuple(map(_narrow, season.columns))
@@ -315,6 +316,16 @@ def test_unit_peak_stays_within_the_byte_budget(n_teams, games_per_team):
         finally:
             tracemalloc.stop()
         assert peak <= size * ceiling, (f, size, peak / size, ceiling)
+
+
+@pytest.mark.parametrize("n_teams,games_per_team,jobs,size", [
+    (32, 16, 1, 72), (30, 82, 1, 32), (30, 162, 1, 18),
+    (32, 16, 2, 25), (30, 82, 2, 25), (30, 162, 2, 18)])
+def test_unit_sizes_are_the_ones_readme_states(n_teams, games_per_team, jobs, size):
+    """Replicates per work unit for criterion 7's league shapes (NHL's is
+    NBA's) and 100 replicates, as README's --jobs paragraph states them."""
+    units = _chunks(ProtocolConfig(), n_teams * games_per_team // 2, n_teams, jobs)
+    assert max(len(ks) for _, ks in units) == size
 
 
 def plain_bt_fit(h, a, margin, n_teams, penalty, tol=1e-8, max_iter=100):
