@@ -12,6 +12,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .ingest import League
+
 # A two-segment fit must beat the single line by more than this to count
 # as a real breakpoint.
 BREAKPOINT_MIN_IMPROVEMENT = 1e-12
@@ -172,6 +174,9 @@ class SummaryReport:
     undefined: dict[str, str] = field(default_factory=dict)
 
 
+_LEAGUES = tuple(league.value for league in League)
+
+
 @dataclass(frozen=True)
 class CurveRow:
     """One (league, season, fraction) row of a curve table."""
@@ -193,7 +198,8 @@ class CurveRow:
         none. ``curve``'s games_per_team lies between 0.5 / (season games)
         and the season's games; [1e-9, 1e9] keeps its squares in the slope
         and breakpoint fits clear of float underflow and overflow."""
-        checks = [("fraction", 0.0 < self.fraction < 1.0, "in (0, 1)"),
+        checks = [("league", self.league in _LEAGUES, f"one of {', '.join(_LEAGUES)}"),
+                  ("fraction", 0.0 < self.fraction < 1.0, "in (0, 1)"),
                   ("games_per_team", 1e-9 <= self.games_per_team <= 1e9, "in [1e-9, 1e9]")]
         checks += [(name, 0.0 <= getattr(self, name) <= 1.0, "in [0, 1]")
                    for name in ("mean_bt_acc", "mean_mov_acc", "baseline_acc")]

@@ -2,10 +2,11 @@
 
 Each row of (K, m) game columns (``encode_rows`` indices and margins) is
 one replicate's training set. The win/loss fit runs damped Newton in
-lockstep over the rows, each with its own step halving; the margin fit
-solves stacked normal equations. Rows are grouped by their number of seen
-teams and every per-row sum runs in its one-row order, so a row's result
-is, bit for bit, the one it gets when fitted alone.
+lockstep over the rows, each with its own step halving; its rows are
+grouped by their number of seen teams, the teams of the decisive games.
+The margin fit solves one full-size (n_teams + 1)² system per row. Every
+per-row sum runs in its one-row order, so a row's result is, bit for bit,
+the one it gets when fitted alone.
 """
 
 from __future__ import annotations
@@ -17,17 +18,14 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
 
 
-def _seen_rows(home, away, n_teams: int, counted=None):
+def _seen_rows(home, away, n_teams: int, counted):
     """Per row of (K, m) game columns: which teams play in the ``counted``
-    games (default all), each seen team's index among them, the number of
-    seen teams, and the rows stably ordered by that number (equal systems
-    adjacent)."""
+    games, each seen team's index among them, the number of seen teams,
+    and the rows stably ordered by that number (equal systems adjacent)."""
     off = (np.arange(len(home)) * n_teams)[:, None]
     plays = 0
     for side in (home, away):
-        keys = side + off
-        plays = plays + np.bincount(keys.ravel() if counted is None else keys[counted],
-                                    minlength=off.size * n_teams)
+        plays = plays + np.bincount((side + off)[counted], minlength=off.size * n_teams)
     played = plays.reshape(-1, n_teams) > 0
     sizes = played.sum(axis=1)
     return played, np.cumsum(played, axis=1) - 1, sizes, np.argsort(sizes, kind="stable")
@@ -265,77 +263,48 @@ def fit_bt_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PENA
     return coef, iterations, norms
 
 
-def _solve(A, b):
-    """Stacked solves of A x = b; a singular system falls back to least
-    squares, on its own."""
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if len(b) == 1:
-            return np.linalg.lstsq(A[0], b[0], rcond=None)[0][None]
-        return np.concatenate([_solve(A[i:i + 1], b[i:i + 1]) for i in range(len(b))])
+def fit_mov_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PENALTY):
+    """Closed-form ridge margin fit (``models.fit_mov``) of each row of
+    (K, m) game columns over ``n_teams`` teams: coefficients (K, n_teams +
+    1: strengths, then home advantage); unseen teams get strength 0.
 
-
-def _mov_normal_equations(home, away, margin, coord, n, penalty):
-    """Reduced normal equations (G, n, n) and (G, n) of rows of games
-    among n seen teams each, ``coord`` each seen team's index among them
-    (``_seen_rows``; changed in place). Coordinates:
-    0..last-1 the strengths of the first n-1 seen teams,
-    ``last`` the home advantage, n the last seen team's strength. A game's
-    design row is e_home - e_away + e_adv, so the normal equations are the
-    schedule's graph Laplacian bordered by home-minus-away counts (Massey
-    1997), taken from one integer bincount over (home, away) pairs. Every
-    entry is an integer, exact in any summation order.
+    A game's design row is e_home - e_away + e_adv, so the normal equations
+    are the schedule's graph Laplacian bordered by home-minus-away counts
+    (Massey 1997), from one integer bincount over (home, away) pairs, exact
+    in any order. They gain 1 on each unseen team's diagonal and the seen
+    teams' outer product (the seen strengths' sum in each seen team's
+    equation), both 0 at the ridge optimum: there an unseen team's equation
+    reads penalty * s = 0, and the teams' equations sum, every game term
+    cancelling, to penalty * sum(s) = 0. So a positive penalty gives
+    positive definite systems, one stacked solve. At penalty 0, or one below
+    sqrt(eps) * (m + 1) that LU's rounding could swamp, the terms pin the
+    strengths' sum and rank-revealing least squares takes each row, so a
+    disconnected schedule or a confounded home advantage fits too.
     """
-    (count, n_teams), m = coord.shape, margin.shape[1]
-    last, k = n - 1, n + 1
-    coord += coord == last
+    if penalty < 0:
+        raise ValueError("penalty must be non-negative")
+    (count, m), k = margin.shape, n_teams + 1
     block = (np.arange(count) * k)[:, None]
-    lookup = (coord + block).ravel()
-    off = (np.arange(count) * n_teams)[:, None]
-    hk, ak = lookup[home + off], lookup[away + off]  # row block + coordinate
+    hk, ak = home + block, away + block  # row block + team
     g = np.bincount(hk.ravel(), margin.ravel(), count * k).reshape(count, k)
     g -= np.bincount(ak.ravel(), margin.ravel(), count * k).reshape(count, k)
-    g[:, last] = margin.sum(axis=1)
+    g[:, n_teams] = margin.sum(axis=1)
     hk *= k
     hk += ak - block
     pairs = np.bincount(hk.ravel(), minlength=count * k * k).reshape(count, k, k)
     del hk, ak
     G = np.add(pairs, pairs.transpose(0, 2, 1), out=np.empty(pairs.shape))
-    np.subtract(0.0, G, out=G)  # minus the games between each pair of teams
     home_n, away_n = pairs.sum(axis=2), pairs.sum(axis=1)
     del pairs
-    G.reshape(count, -1)[:, ::k + 1] = home_n + away_n
-    G[:, last] = G[:, :, last] = home_n - away_n
-    G[:, last, last] = m
-    # Strengths sum to zero: substituting the last one as the negated sum
-    # of the others leaves the reduced system in the first n coordinates,
-    # where penalty * sum(delta_i^2) is I + ones*ones^T. One matrix at a
-    # time: across the stack, numpy's iterator buffers outgrow the stack.
-    ridge = penalty * (np.eye(last) + np.ones((last, last)))
-    for M in G:
-        M[:last] -= M[n]
-        M[:, :last] -= M[:, n:]
-        M[:last, :last] += ridge
-    g[:, :last] -= g[:, n:]
-    return G[:, :n, :n], g[:, :n]
-
-
-def fit_mov_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PENALTY):
-    """Closed-form ridge margin fit (``models.fit_mov``) of each row of
-    (K, m) game columns over ``n_teams`` teams: coefficients (K, n_teams +
-    1: strengths, then home advantage); unseen teams keep strength 0."""
-    if penalty < 0:
-        raise ValueError("penalty must be non-negative")
-    played, local, sizes, order = _seen_rows(home, away, n_teams)
-    coef = np.zeros((len(margin), n_teams + 1))  # unseen teams keep strength 0
-    for n, rows in _runs(sizes[order]):
-        idx = order[rows]
-        x = _solve(*_mov_normal_equations(home[idx], away[idx], margin[idx], local[idx], n,
-                                          penalty))
-        fitted = np.zeros((len(idx), n_teams + 1))
-        fitted[:, :n_teams][played[idx]] = np.concatenate(
-            [x[:, :n - 1], -x[:, :n - 1].sum(axis=1, keepdims=True)], axis=1).ravel()
-        fitted[:, n_teams] = x[:, n - 1]
-        coef[idx] = fitted
-    return coef
+    seen = (home_n + away_n)[:, :n_teams] > 0
+    teams = G[:, :n_teams, :n_teams]  # a view
+    np.subtract(seen[:, :, None] & seen[:, None, :], teams, out=teams)
+    G.reshape(count, -1)[:, ::k + 1] = home_n + away_n + (1.0 + penalty)
+    G[:, n_teams] = G[:, :, n_teams] = home_n - away_n
+    G[:, n_teams, n_teams] = m
+    if penalty > np.finfo(float).eps ** 0.5 * (m + 1):  # clear of LU's rounding
+        return np.linalg.solve(G, g[..., None])[..., 0]
+    for M, b in zip(G, g):
+        b[:] = np.linalg.lstsq(M, b, rcond=None)[0]
+    g[:, :n_teams][~seen] = 0.0
+    return g

@@ -132,6 +132,19 @@ def _from_csv(kind, text):
     return kind(text)
 
 
+def _known(raw, names):
+    for name in raw:  # DictReader keys a row's fields past the header None
+        if name not in names:
+            raise ValueError(f"unknown field {name!r}" if name is not None else
+                             f"a row has more fields than the header: {raw[None]!r}")
+
+
+def _curve_row(raw, parse) -> CurveRow:
+    row = CurveRow(**{name: parse(kind, raw[name]) for name, kind in _CURVE_FIELDS})
+    _known(raw, CURVE_COLUMNS)
+    return row
+
+
 def _from_json(kind, value):
     """``value`` as ``kind``; a float field also takes a JSON integer, and a
     string must encode to UTF-8 (a lone surrogate escape does not)."""
@@ -217,11 +230,12 @@ def read_curve_file(path, data: bytes | None = None) -> list[CurveRow]:
     try:
         text = (path.read_bytes() if data is None else data).decode("utf-8")
         if path.suffix == ".json":
-            raw_rows, parse = json.loads(text)["curves"], _from_json
+            doc = json.loads(text)
+            raw_rows, parse = doc["curves"], _from_json
+            _known(doc, ("curves",))
         else:
             raw_rows, parse = list(csv.DictReader(io.StringIO(text, newline=""))), _from_csv
-        rows = [CurveRow(**{name: parse(kind, raw[name]) for name, kind in _CURVE_FIELDS})
-                for raw in raw_rows]
+        rows = [_curve_row(raw, parse) for raw in raw_rows]
     except (KeyError, TypeError, ValueError, OverflowError, csv.Error) as exc:
         raise ParseError(f"malformed curve file {path}: {exc}") from None
     for i, row in enumerate(rows, start=1):

@@ -114,7 +114,8 @@ def fit_mov(train: Sequence[Game], teams, penalty: float = DEFAULT_PENALTY) -> M
 
     Ties are legitimate observations here (margin 0). The ridge penalty
     applies to team strengths only, not the home advantage; with any
-    positive penalty the normal equations are full rank.
+    positive penalty the normal equations are full rank. Penalty 0 gives a
+    least-squares fit even where the games leave some strengths unidentified.
     """
     order, home, away, margin = _encode_train(train, teams)
     coef = fit_mov_batch(home, away, margin, len(order), penalty)

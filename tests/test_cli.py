@@ -258,7 +258,7 @@ def test_summary_rejects_malformed_curve_file(tmp_path, capsys):
     ("games_per_team", "inf"), ("games_per_team", "1e-300"), ("games_per_team", "1e300"),
     ("mean_bt_acc", "nan"), ("mean_mov_acc", "1.5"), ("baseline_acc", "-0.1"),
     ("sd_bt_acc", "inf"), ("sd_mov_acc", "-0.01"), ("bt_failures", "-1"),
-    ("mov_failures", "-2")])
+    ("mov_failures", "-2"), ("league", "N/A"), ("league", "")])
 def test_summary_rejects_out_of_range_rows_and_writes_nothing(tmp_path, capsys, column, value):
     curve = summary_curve_file(tmp_path)
     with open(curve, newline="") as fh:
@@ -287,6 +287,23 @@ def test_summary_rejects_json_values_of_the_wrong_type(tmp_path, capsys, column,
     curve.write_text(json.dumps({"curves": [{**row, column: value}]}), encoding="utf-8")
     assert main(["summary", str(curve), "--out", str(tmp_path / "report")]) == 3
     assert "malformed curve file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [curve.name]
+
+
+@pytest.mark.parametrize("suffix,edit,named", [
+    (".csv", lambda text: text[:-1] + ",7\n", "['7']"),  # the last row outruns the header
+    (".csv", lambda text: text.replace("\n", ",extra\n"), "'extra'"),  # a column and its values
+    (".json", lambda text: text.replace('"league"', '"note": 1, "league"'), "'note'"),
+    (".json", lambda text: text.replace('"curves"', '"meta": {}, "curves"'), "'meta'")],
+    ids=["row_outruns_header", "extra_column", "unknown_json_row_key", "unknown_json_key"])
+def test_summary_rejects_fields_that_curve_never_writes(tmp_path, capsys, suffix, edit, named):
+    curve = tmp_path / f"curve{suffix}"
+    text = curve_text(curve, [CurveRow("NBA", "2012", f, 82 * f, 0.6, 0.01, 0.6, 0.01, 0.55)
+                              for f in DEFAULT_X_GRID])
+    curve.write_text(edit(text), encoding="utf-8")
+    assert main(["summary", str(curve), "--out", str(tmp_path / "report")]) == 3
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == [curve.name]
 
 

@@ -5,9 +5,11 @@ path, bit for bit.
 arrays; ``make_split`` -> ``home_baseline``, ``fit_bt``/``fit_mov`` ->
 ``predict_*`` -> decision rule -> ``info_metric`` is the reference
 semantics. The fitters' former constructions (two ``np.subtract.at``
-passes for the BT Hessian, the dense m x n design for the MOV normal
-equations) are restated here as references for the ones that replaced
-them, and so is the boolean mask the splits were first taken with.
+passes for the BT Hessian, the dense m x n design of the seen teams for
+the MOV normal equations) are restated here as references for the ones
+that replaced them, and so is the boolean mask the splits were first
+taken with. The full-size margin fit is pinned, bit for bit, to a dense
+solve of its own system, and at penalty 0 to least squares.
 Replicates fitted together in chunks must match, bit for bit, the same
 replicates fitted one at a time, whatever the work units' size. Newton
 computes the objective only where a step did not shrink the gradient
@@ -189,7 +191,8 @@ def test_bt_hessian_equals_subtract_at_construction():
 
 
 def dense_mov_coef(h, a, margin, n_teams, penalty):
-    """Margin fit from the dense m x n reduced design and X'X, X'y."""
+    """Margin fit from the dense m x n reduced design and X'X, X'y: the seen
+    teams only, the last one's strength the negated sum of the others'."""
     seen = np.unique(np.concatenate([h, a]))
     local = {t: i for i, t in enumerate(seen)}
     hl = np.array([local[t] for t in h])
@@ -211,6 +214,27 @@ def dense_mov_coef(h, a, margin, n_teams, penalty):
     return full
 
 
+def dense_design(h, a, n_teams):
+    """The m x (n_teams + 1) margin design: e_home - e_away + e_adv per game."""
+    X = np.zeros((len(h), n_teams + 1))
+    rows = np.arange(len(h))
+    X[rows, h] += 1.0
+    X[rows, a] -= 1.0
+    X[:, -1] = 1.0
+    return X
+
+
+def dense_full_mov_coef(h, a, margin, n_teams, penalty):
+    """Margin fit from the dense full-size X'X, X'y plus the ridge, 1 on each
+    unseen team's diagonal and the seen teams' outer product."""
+    X = dense_design(h, a, n_teams)
+    seen = np.zeros(n_teams + 1)
+    seen[np.concatenate([h, a])] = 1.0
+    P = np.diag(np.append(np.full(n_teams, penalty + 1.0), 0.0))
+    P += np.outer(seen, seen) - np.diag(seen)
+    return np.linalg.solve(X.T @ X + P, X.T @ margin.astype(float))
+
+
 def test_mov_fit_equals_dense_design_solution():
     rng = np.random.default_rng(1997)
     for _ in range(300):
@@ -218,7 +242,49 @@ def test_mov_fit_equals_dense_design_solution():
         h, a, margin = _random_games(rng, n_teams, int(rng.integers(1, 80)))
         penalty = float(rng.uniform(0.05, 3.0))
         got = fit_mov_batch(h[None], a[None], margin[None], n_teams, penalty)[0]
-        assert got.tobytes() == dense_mov_coef(h, a, margin, n_teams, penalty).tobytes()
+        assert got.tobytes() == dense_full_mov_coef(h, a, margin, n_teams, penalty).tobytes()
+        reduced = dense_mov_coef(h, a, margin, n_teams, penalty)
+        assert np.abs(got - reduced).max() <= 1e-9 * np.abs(reduced).max()
+
+
+def _assert_least_squares_fit(h, a, margin, n_teams, penalty=0.0):
+    """The fitted values are the least-squares ones, and teams without a
+    game have strength exactly 0."""
+    coef = fit_mov_batch(h[None], a[None], margin[None], n_teams, penalty)[0]
+    X = dense_design(h, a, n_teams)
+    want = X @ np.linalg.lstsq(X, margin.astype(float), rcond=None)[0]
+    assert np.abs(X @ coef - want).max() <= 1e-8
+    unseen = np.setdiff1d(np.arange(n_teams), np.concatenate([h, a]))
+    assert (coef[unseen] == 0.0).all()
+
+
+def test_mov_fit_at_penalty_0_is_least_squares():
+    """Small seasons are often disconnected, or have a home advantage
+    confounded with strengths: numerically singular systems that a plain
+    solve returns without an error, with strengths near 1e17. A positive
+    penalty near the rounding of the diagonal, where LU can meet an exact
+    zero pivot, is fitted as penalty 0."""
+    rng = np.random.default_rng(1602)
+    for _ in range(2000):
+        n_teams = int(rng.integers(2, 10))
+        games = _random_games(rng, n_teams, int(rng.integers(1, 25)))
+        for penalty in (0.0, 1e-15, 1e-300):
+            _assert_least_squares_fit(*games, n_teams, penalty)
+
+
+def test_mov_fit_at_penalty_0_on_an_nfl_shaped_split():
+    # Replicate 76 of the 0.125 fraction: once fitted with a strength of 5.9e17.
+    season = generate_season(SynthSpec(n_teams=32, games_per_team=16, seed=1602,
+                                       home_adv=0.28, strength_sd=1.05, mov_scale=6.0,
+                                       mov_noise_sd=13.0))[0]
+    config = ProtocolConfig(master_seed=1, mov_penalty=0.0)
+    train, _ = _split_indices(len(season.games), config, 0.125, range(100))
+    rows = [col[train] for col in season.columns]
+    _assert_least_squares_fit(*(col[76] for col in rows), len(season.teams))
+    together = fit_mov_batch(*rows, len(season.teams), 0.0)
+    for k in (0, 76, 99):  # row by row, whatever the other rows
+        alone = fit_mov_batch(*(col[k:k + 1] for col in rows), len(season.teams), 0.0)
+        assert together[k].tobytes() == alone[0].tobytes()
 
 
 def _train_rows(season, config, fraction):
