@@ -189,6 +189,8 @@ def cmd_curve(args) -> int:
         bt_penalty=args.bt_penalty,
         mov_penalty=args.mov_penalty,
     )
+    if args.jobs < 1:  # run_protocol checks it too, but only once the inputs are read
+        raise ConfigError(f"jobs must be at least 1, got {args.jobs}")
     labels = [Path(p).stem for p in args.inputs]
     if len(set(labels)) < len(labels):
         raise ConfigError(f"two inputs share a season label (file stem): {labels}")

@@ -1,10 +1,12 @@
 """Paired-comparison models: win/loss (logit) and margin-of-victory.
 
 Both models share the same structure, a per-team strength plus a home
-advantage, and both impose a sum-to-zero constraint on strengths so the
-translation-invariant parameterization is pinned down. The win/loss model
-is fit by damped Newton on a ridge-penalized log-likelihood (the penalty
-keeps tiny, separated training sets well-posed); the margin model has a
+advantage. Neither imposes a constraint on the strengths: the ridge
+penalty pins down the otherwise translation-invariant parameterization,
+and at its optimum the strengths sum to zero and a team that no counted
+game reaches has strength exactly zero. The win/loss model is fit by
+damped Newton on a ridge-penalized log-likelihood (the penalty keeps
+tiny, separated training sets well-posed); the margin model has a
 closed-form penalized least-squares solution.
 
 Fits and scoring work on games in columnar form (``encode_rows``). The
@@ -25,7 +27,6 @@ from .batch import (
     DEFAULT_TOL,
     _bt_gradient,
     _bt_objective,
-    _runs,
     fit_bt_batch,
     fit_mov_batch,
     linear_predictor,
@@ -77,10 +78,9 @@ def bt_objective_gradient(train: Sequence[Game], teams, strengths: Mapping[str, 
     order = sorted(set(teams))
     home, away, margin = (col[None] for col in encode_rows(game_rows(train), order))
     theta = np.array([[strengths[t] for t in order] + [home_adv]], dtype=float)
-    sizes = np.array([len(order)])
     games = (home, away, margin > 0, margin != 0)
-    grad, _ = _bt_gradient(theta, *games, sizes, _runs(sizes), penalty, np.empty(home.shape))
-    return float(_bt_objective(theta, [0], *games, sizes, penalty)[0]), grad[0]
+    grad, _ = _bt_gradient(theta, *games, penalty, np.empty(home.shape))
+    return float(_bt_objective(theta, [0], *games, penalty)[0]), grad[0]
 
 
 def fit_bt(train: Sequence[Game], teams, penalty: float = DEFAULT_PENALTY,

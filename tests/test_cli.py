@@ -369,6 +369,31 @@ def test_curve_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert sorted(p.name for p in tmp_path.iterdir()) == [src.name]
 
 
+def test_curve_at_a_tiny_bt_penalty_exits_0_or_4(tmp_path, capsys):
+    # A penalty lost to rounding against the BT Hessian: LU meets exact
+    # zero pivots, and rows that cannot converge count as BT failures.
+    src = tmp_path / "s.csv"
+    assert main(["synth", "--teams", "4", "--games-per-team", "6", "--seed", "5",
+                 "--strength-sd", "8", "--out", str(src)]) == 0
+    code = main(["curve", str(src), "--league", "NFL", "--bt-penalty", "1e-300",
+                 "--replicates", "20", "--out", str(tmp_path / "c.csv")])
+    assert code in (0, 4)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_curve_checks_jobs_before_reading_any_input(tmp_path, capsys):
+    # A missing and a malformed input would each exit 3 once read.
+    bad = tmp_path / "bad.csv"
+    bad.write_text("not,a,season\n")
+    for src in (tmp_path / "nope.csv", bad):
+        code = main(["curve", str(src), "--league", "NFL", "--jobs", "0",
+                     "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "jobs" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["curve"])  # missing required arguments

@@ -6,10 +6,12 @@ arrays; ``make_split`` -> ``home_baseline``, ``fit_bt``/``fit_mov`` ->
 ``predict_*`` -> decision rule -> ``info_metric`` is the reference
 semantics. The fitters' former constructions (two ``np.subtract.at``
 passes for the BT Hessian, the dense m x n design of the seen teams for
-the MOV normal equations) are restated here as references for the ones
-that replaced them, and so is the boolean mask the splits were first
-taken with. The full-size margin fit is pinned, bit for bit, to a dense
-solve of its own system, and at penalty 0 to least squares.
+the MOV normal equations, BT Newton over the seen teams with re-centered
+iterates) are restated here as references for the ones that replaced
+them, and so is the boolean mask the splits were first taken with. The
+full-size margin fit is pinned, bit for bit, to a dense solve of its own
+system, and at penalty 0 to least squares; the full-size BT fit, bit for
+bit, to plain Newton on one row.
 Replicates fitted together in chunks must match, bit for bit, the same
 replicates fitted one at a time, whatever the work units' size. Newton
 computes the objective only where a step did not shrink the gradient
@@ -295,27 +297,53 @@ def _train_rows(season, config, fraction):
 
 @pytest.mark.parametrize("name", list(SEASONS))
 def test_chunked_fits_match_one_replicate_fits(name):
+    """Also at penalty 1e-300, lost to rounding against every Hessian, where
+    LU meets exact zero pivots and a unit's rows are solved one by one."""
     season = SEASONS[name]()
     n_teams = len(season.teams)
     config = ProtocolConfig(replicates=100, master_seed=23)
     fractions = config.x_grid if name != "no_decisive_game" else (0.5,)
-    for f in fractions:
+    for f, penalty in itertools.product(fractions, (1.0, 1e-300)):
         rows = _train_rows(season, config, f)
-        alone = [fit_bt_batch(*(col[k:k + 1] for col in rows), n_teams) for k in range(100)]
-        alone_mov = [fit_mov_batch(*(col[k:k + 1] for col in rows), n_teams) for k in range(100)]
+        alone = [fit_bt_batch(*(col[k:k + 1] for col in rows), n_teams, penalty)
+                 for k in range(100)]
+        alone_mov = [fit_mov_batch(*(col[k:k + 1] for col in rows), n_teams, penalty)
+                     for k in range(100)]
         for size in (3, 100):
             for lo in range(0, 100, size):
                 part = [col[lo:lo + size] for col in rows]
-                coef, iterations, gnorm = fit_bt_batch(*part, n_teams)
-                mov = fit_mov_batch(*part, n_teams)
+                coef, iterations, gnorm = fit_bt_batch(*part, n_teams, penalty)
+                mov = fit_mov_batch(*part, n_teams, penalty)
                 for i, k in enumerate(range(lo, min(lo + size, 100))):
                     want_coef, want_iter, want_norm = alone[k]
-                    assert coef[i].tobytes() == want_coef[0].tobytes(), (f, k, size)
-                    assert iterations[i] == want_iter[0], (f, k, size)
-                    assert gnorm[i:i + 1].tobytes() == want_norm.tobytes(), (f, k, size)
-                    assert mov[i].tobytes() == alone_mov[k][0].tobytes(), (f, k, size)
+                    key = (f, penalty, k, size)
+                    assert coef[i].tobytes() == want_coef[0].tobytes(), key
+                    assert iterations[i] == want_iter[0], key
+                    assert gnorm[i:i + 1].tobytes() == want_norm.tobytes(), key
+                    assert mov[i].tobytes() == alone_mov[k][0].tobytes(), key
         failed = [np.isnan(norm[0]) for _, _, norm in alone]
         assert any(failed) == (name == "no_decisive_game")
+
+
+@pytest.mark.parametrize("penalty,n_teams,h,a,margin", [
+    (1e-20, 3, [0, 1, 2, 1, 2, 2, 2], [1, 0, 0, 0, 0, 1, 1], [-50, 48, -53, 43, -39, -104, -103]),
+    (1e-20, 4, [1, 2, 2, 3, 1, 3, 1, 2], [2, 1, 0, 1, 2, 2, 0, 0],
+     [92, -104, -143, -45, 92, 38, -51, -153])])
+def test_overflowing_steps_leave_no_warning(penalty, n_teams, h, a, margin):
+    """Replicates from small seasons whose Newton systems LU solves with
+    near-zero pivots: candidates whose gradient norm overflows, or whose
+    strengths give inf - inf, count as no progress. The fit ends finite,
+    with no floating-point warning."""
+    coef, _, gnorm = fit_bt_batch(*(np.array([col]) for col in (h, a, margin)), n_teams, penalty)
+    assert np.isfinite(coef).all() and np.isfinite(gnorm).all()
+
+
+def test_bt_fit_of_no_rows_or_of_rows_without_games():
+    for shape in ((0, 4), (3, 0)):
+        empty = np.zeros(shape, dtype=np.intp)
+        coef, iterations, gnorm = fit_bt_batch(empty, empty, empty, 5)
+        assert coef.shape == (shape[0], 6) and not coef.any() and not iterations.any()
+        assert gnorm.shape == (shape[0],) and np.isnan(gnorm).all()
 
 
 def mask_split(n_games, config, fraction, replicates):
@@ -395,9 +423,49 @@ def test_unit_sizes_are_the_ones_readme_states(n_teams, games_per_team, jobs, si
 
 
 def plain_bt_fit(h, a, margin, n_teams, penalty, tol=1e-8, max_iter=100):
-    """One replicate's ridge BT fit by damped Newton over its seen teams,
-    written out plainly: the iterates, in the float operations, that the
-    lockstep fit of many rows must reproduce bit for bit."""
+    """One replicate's ridge BT fit by damped Newton on all its n_teams + 1
+    parameters, written out plainly: the iterates, in the float operations,
+    that the lockstep fit of many rows must reproduce bit for bit."""
+    n, dec, w = n_teams, margin != 0, (margin > 0) * 1.0
+    if not dec.any():
+        return np.zeros(n + 1), 0, float("nan")
+
+    def evaluate(theta):
+        eta = theta[h] - theta[a] + theta[n]
+        terms = eta * (1.0 - 2.0 * w)
+        terms = np.where(terms > 0.0, terms, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+        pi = 1.0 / (1.0 + np.exp(-eta)) * dec
+        obj = -(terms * dec).sum() - 0.5 * penalty * (theta @ theta)
+        r = w - pi
+        grad = np.bincount(h, r, n + 1) - np.bincount(a, r, n + 1) - penalty * theta
+        grad[n] = r.sum() - penalty * theta[n]
+        return obj, grad, pi, np.sqrt(grad @ grad)
+
+    theta, iterations = np.zeros(n + 1), 0
+    obj, grad, pi, gnorm = evaluate(theta)
+    while gnorm > tol and iterations < max_iter:
+        step = np.linalg.solve(subtract_at_hessian(pi, h, a, n, penalty), grad)
+        scale = 1.0
+        while True:
+            cand = theta + scale * step
+            c_obj, c_grad, c_pi, c_gnorm = evaluate(cand)
+            if c_obj > obj or c_gnorm < gnorm:
+                theta, obj, grad, pi, gnorm = cand, c_obj, c_grad, c_pi, c_gnorm
+                iterations += 1
+                break
+            scale *= 0.5
+            if scale <= 1e-12:
+                break
+        if scale <= 1e-12:
+            break
+    return theta, iterations, gnorm
+
+
+def seen_team_bt_fit(h, a, margin, n_teams, penalty, tol=1e-8, max_iter=100):
+    """One replicate's ridge BT fit by damped Newton over its seen teams
+    only, the teams of its decisive games, each iterate re-centered to
+    strengths summing to zero: the fit's earlier form, an oracle for the
+    optimum it reaches."""
     coef = np.zeros(n_teams + 1)
     dec = margin != 0
     seen = np.unique(np.concatenate([h[dec], a[dec]]))
@@ -471,18 +539,39 @@ def _tie_free_rows():
     return (*_train_rows(season, config, 0.5), len(season.teams), config.bt_penalty)
 
 
-@pytest.mark.parametrize("rows", [*(f"halving-{s}" for s in (378, 586, 650, 1422, 1941, 2855)),
-                                  *SEASONS, "tie_free"])
+ROWS = [*(f"halving-{s}" for s in (378, 586, 650, 1422, 1941, 2855)), *SEASONS, "tie_free"]
+
+
+def _rows(name):
+    return (_near_separable_rows(int(name.split("-")[1])) if name.startswith("halving")
+            else _tie_free_rows() if name == "tie_free" else _season_rows(name))
+
+
+@pytest.mark.parametrize("rows", ROWS)
 def test_lockstep_fit_matches_plain_newton(rows):
-    h, a, margin, n_teams, penalty = (
-        _near_separable_rows(int(rows.split("-")[1])) if rows.startswith("halving")
-        else _tie_free_rows() if rows == "tie_free" else _season_rows(rows))
+    h, a, margin, n_teams, penalty = _rows(rows)
     coef, iterations, gnorm = fit_bt_batch(h, a, margin, n_teams, penalty)
     for k in range(len(margin)):
         want, want_iter, want_norm = plain_bt_fit(h[k], a[k], margin[k], n_teams, penalty)
         assert coef[k].tobytes() == want.tobytes(), k
         assert iterations[k] == want_iter, k
         assert repr(float(gnorm[k])) == repr(float(want_norm)), k
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_full_size_fit_reaches_the_seen_team_optimum(rows):
+    """Newton on every team, with no re-centering, converges to the optimum
+    that Newton on the seen teams alone reaches under a sum-to-zero
+    constraint: the ridge alone pins the unseen strengths and the sum."""
+    h, a, margin, n_teams, penalty = _rows(rows)
+    coef, _, gnorm = fit_bt_batch(h, a, margin, n_teams, penalty)
+    compared = 0
+    for k in range(len(margin)):
+        want, _, want_norm = seen_team_bt_fit(h[k], a[k], margin[k], n_teams, penalty)
+        if gnorm[k] <= 1e-8 and want_norm <= 1e-8:
+            assert np.abs(coef[k] - want).max() <= 1e-8 * np.abs(want).max(), k
+            compared += 1
+    assert compared
 
 
 def _count_objective_passes(monkeypatch):
@@ -509,6 +598,28 @@ def test_criterion_7_seasons_never_read_the_objective(monkeypatch):
         for f, ks in _chunks(config, n_games, n_teams, jobs=1):
             evaluate_chunk(columns, n_teams, config, f, ks)
     assert calls == []
+
+
+def test_criterion_7_fits_keep_unseen_strengths_0_and_the_sum_0():
+    """In the 2,800 BT fits of criterion 7's four leagues, a team that no
+    decisive training game reaches keeps strength exactly +0.0, and the
+    strengths sum to 0 up to rounding, with no re-centering."""
+    unseen_teams = 0
+    for kw in FOUR_LEAGUES.values():
+        season = generate_season(SynthSpec(**kw))[0]
+        n_teams = len(season.teams)
+        config = ProtocolConfig(replicates=100, master_seed=kw["seed"])
+        for f in config.x_grid:
+            home, away, margin = _train_rows(season, config, f)
+            coef, _, gnorm = fit_bt_batch(home, away, margin, n_teams)
+            assert (gnorm <= config.bt_tol).all(), (kw, f)
+            for h, a, m, c in zip(home, away, margin, coef):
+                s, seen = c[:-1], np.zeros(n_teams, dtype=bool)
+                seen[h[m != 0]] = seen[a[m != 0]] = True
+                assert (s[~seen] == 0.0).all() and not np.signbit(s[~seen]).any()
+                assert abs(s.sum()) <= 1e-12 * np.abs(s).max(), (kw, f)
+                unseen_teams += (~seen).sum()
+    assert unseen_teams
 
 
 @pytest.mark.parametrize("seed", (378, 586, 650, 1422, 1941, 2855))

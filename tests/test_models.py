@@ -17,7 +17,7 @@ from seasoninfo import (
     predict_bt,
     predict_mov,
 )
-from seasoninfo.models import bt_objective_gradient
+from seasoninfo.models import bt_objective_gradient, win_probability
 from conftest import game_from_margin, games_from_results, make_game
 from oracles import enum_info_metric
 
@@ -139,6 +139,34 @@ class TestFitBt:
         assert np.linalg.norm(grad) <= 1e-8
 
     @given(st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_tiny_penalty_converges_or_raises_fit_error(self, rnd):
+        # A penalty lost to rounding against the Hessian's Laplacian, where
+        # LU can meet an exact zero pivot.
+        teams = ["A", "B", "C", "D"]
+        games = [game_from_margin(i, *rnd.sample(teams, 2), rnd.choice([-7, -3, 0, 3, 7]))
+                 for i in range(1, rnd.randint(2, 14))]
+        for penalty in (1e-16, 1e-20, 1e-300):
+            try:
+                fit = fit_bt(games, teams, penalty=penalty)
+            except FitError:
+                continue
+            assert fit.converged and fit.final_gradient_norm <= 1e-8
+
+    def test_swept_round_robin_at_a_tiny_penalty(self):
+        games = games_from_results(
+            [(h, a, 1) for h, a in
+             [("A", "B"), ("B", "A"), ("A", "C"), ("C", "A"), ("B", "C"), ("C", "B")]]
+        )
+        # The Hessian's strength block is its Laplacian to working precision,
+        # singular, so LU meets zero pivots and most steps are least-norm
+        # ones. The home advantage grows until its gradient, 6 (1 - pi) less
+        # a negligible penalty term, falls below tol.
+        fit = fit_bt(games, {"A", "B", "C"}, penalty=1e-300)
+        assert fit.converged and fit.strengths == {"A": 0.0, "B": 0.0, "C": 0.0}
+        assert 6 / (1 + math.exp(fit.home_adv)) <= 1e-8
+
+    @given(st.randoms(use_true_random=False))
     @settings(max_examples=20, deadline=None)
     def test_label_symmetry(self, rnd):
         teams = ["A", "B", "C", "D"]
@@ -245,6 +273,11 @@ class TestPredict:
         fit = fit_bt(bt_games(), {"A", "B", "C"}, penalty=1.0)
         pi = predict_bt(fit, make_game(1, "X", "Y", 0, 0))
         assert pi == pytest.approx(1.0 / (1.0 + math.exp(-fit.home_adv)))
+
+    def test_probability_underflows_to_0_without_a_warning(self):
+        # e^-eta overflows for eta below about -709.
+        assert win_probability(np.array([-800.0, 800.0])).tolist() == [0.0, 1.0]
+        assert win_probability(-1e300) == 0.0
 
     def test_probability_monotone_in_strength_gap(self):
         fit = fit_bt(bt_games(), {"A", "B", "C"}, penalty=1.0)
