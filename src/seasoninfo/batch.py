@@ -3,8 +3,8 @@
 Each row of (K, m) game columns (``encode_rows`` indices and margins) is
 one replicate's training set, fitted on all n_teams + 1 parameters. The
 win/loss fit runs damped Newton in lockstep over the rows, each with its
-own step halving, one stacked solve per step; the margin fit solves one
-(n_teams + 1)² system per row. Every per-row sum runs in its one-row
+own step halving; the margin fit solves one (n_teams + 1)² system per row;
+both solve by ``_ridge_solve``. Every per-row sum runs in its one-row
 order, so a row's result is, bit for bit, the one it gets when fitted alone.
 """
 
@@ -107,21 +107,20 @@ def _bt_hessian(pi, h, a, n, penalty):
     return H
 
 
-def _newton_steps(hessian, grad):
-    """Each row's step ``hessian[i]^-1 grad[i]``, by one stacked solve. A
-    penalty lost to rounding against the Laplacian can give LU an exact
-    zero pivot; then each row is solved alone, and one still singular takes
-    the least-norm step, so no row's step depends on the others."""
-    try:
-        return np.linalg.solve(hessian, grad[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        step = np.empty_like(grad)
-    for H, g, out in zip(hessian, grad, step):
-        try:
-            out[:] = np.linalg.solve(H, g[:, None])[:, 0]
-        except np.linalg.LinAlgError:
-            out[:] = np.linalg.lstsq(H, g, rcond=None)[0]
-    return step
+def _ridge_solve(A, b, penalty, floor, seen):
+    """Each row's solution of the ridge system ``A[i] x = b[i]``, whose
+    strengths' diagonal carries ``penalty``. Above ``floor`` the penalty
+    survives LU's rounding: one stacked solve. At or below it LU could move
+    along a direction that only the penalty pins, so each row takes its
+    least-norm ``lstsq`` solution, and a team the row does not reach
+    (``seen``, K x n_teams, is False) gets exactly 0, as at the optimum."""
+    if penalty > floor:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    x = np.empty_like(b)
+    for M, v, out in zip(A, b, x):
+        out[:] = np.linalg.lstsq(M, v, rcond=None)[0]
+    x[:, :seen.shape[1]][~seen] = 0.0
+    return x
 
 
 def _front(x, keep):
@@ -130,12 +129,14 @@ def _front(x, keep):
     return x[:len(keep)]
 
 
-def _bt_newton(h, a, w, decisive, n, penalty, tol, max_iter):
+def _bt_newton(h, a, w, decisive, seen, n, penalty, tol, max_iter):
     """Damped Newton in lockstep over rows of games over ``n`` teams, keyed
-    as for ``linear_predictor``. A finished row leaves: the live rows' games
-    move to the front of the game arrays, in place. Returns each row's
+    as for ``linear_predictor``; ``seen`` (K, n) marks the teams of each
+    row's decisive games. A finished row leaves: the live rows' games move
+    to the front of the game arrays, in place. Returns each row's
     parameters (strengths, home advantage), iterations and gradient norm."""
     count, width = len(h), n + 1
+    floor = np.finfo(float).eps * (h.shape[1] + 1)
     theta = np.zeros((count, width))
     fitted, iterations, norms = theta.copy(), np.zeros(count, dtype=int), np.empty(count)
     ids, iters = np.arange(count), iterations.copy()  # output row, iterations of live rows
@@ -155,9 +156,9 @@ def _bt_newton(h, a, w, decisive, n, penalty, tol, max_iter):
             games, pi = [_front(x, keep) for x in games], _front(pi, keep)
             for keys in games[:2]:
                 keys -= ((keep - np.arange(len(keep))) * width)[:, None]
-            theta, grad, gnorm, ids, iters, live = (
-                x[keep] for x in (theta, grad, gnorm, ids, iters, live))
-        step = _newton_steps(_bt_hessian(pi, *games[:2], n, penalty), grad)
+            theta, grad, gnorm, ids, iters, live, seen = (
+                x[keep] for x in (theta, grad, gnorm, ids, iters, live, seen))
+        step = _ridge_solve(_bt_hessian(pi, *games[:2], n, penalty), grad, penalty, floor, seen)
         # A step counts as progress if it shrinks the gradient or raises
         # the objective; each row halves its own step until it does. The
         # objective decides only where the norm did not shrink, so only
@@ -202,17 +203,21 @@ def fit_bt_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PENA
     sum, every game term cancelling, to penalty * sum(s) = 0. Such a team's
     gradient is -penalty * 0 and its Hessian row penalty * e_t, so every
     Newton step leaves its strength exactly 0; the sum is 0 up to rounding.
+    Each step solves by ``_ridge_solve`` with the floor eps * (m + 1), m
+    games a row, as a game adds at most 1/4 to a Hessian entry; a team
+    without a decisive game counts as unreached.
     """
     if penalty <= 0:
         raise ValueError("penalty must be positive")
-    decisive = margin != 0
-    no_decisive = ~decisive.any(axis=1)  # before Newton moves the rows of decisive
+    count, k, decisive = len(margin), n_teams + 1, margin != 0
+    home, away = (keys + (np.arange(count) * k)[:, None] for keys in (home, away))
+    reach = np.bincount(np.append(home[decisive], away[decisive]), minlength=count * k)
+    seen = reach.reshape(count, k)[:, :n_teams] > 0
+    no_decisive = ~seen.any(axis=1)
     if no_decisive.all():  # also where there is no row or no game: no Newton step
-        count = len(margin)
-        return np.zeros((count, n_teams + 1)), np.zeros(count, dtype=int), np.full(count, np.nan)
-    block = (np.arange(len(margin)) * (n_teams + 1))[:, None]
+        return np.zeros((count, k)), np.zeros(count, dtype=int), np.full(count, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step is halved
-        coef, iterations, norms = _bt_newton(home + block, away + block, margin > 0, decisive,
+        coef, iterations, norms = _bt_newton(home, away, margin > 0, decisive, seen,
                                              n_teams, penalty, tol, max_iter)
     norms[no_decisive] = np.nan
     return coef, iterations, norms
@@ -229,11 +234,10 @@ def fit_mov_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PEN
     in any order. They gain 1 on each unseen team's diagonal and the seen
     teams' outer product (the seen strengths' sum in each seen team's
     equation), both 0 at the ridge optimum as for ``fit_bt_batch``, so a
-    positive penalty gives positive definite systems, one stacked solve. At
-    penalty 0, or one below sqrt(eps) * (m + 1) that LU's rounding could
-    swamp, the terms pin the strengths' sum and rank-revealing least
-    squares takes each row, so a disconnected schedule or a confounded home
-    advantage fits too.
+    positive penalty gives positive definite systems. They solve by
+    ``_ridge_solve`` above the floor sqrt(eps) * (m + 1); at penalty 0, or
+    below the floor, least-norm rows fit a disconnected schedule or a
+    confounded home advantage too, and a team without a game is unreached.
     """
     if penalty < 0:
         raise ValueError("penalty must be non-negative")
@@ -256,9 +260,4 @@ def fit_mov_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PEN
     G.reshape(count, -1)[:, ::k + 1] = home_n + away_n + (1.0 + penalty)
     G[:, n_teams] = G[:, :, n_teams] = home_n - away_n
     G[:, n_teams, n_teams] = m
-    if penalty > np.finfo(float).eps ** 0.5 * (m + 1):  # clear of LU's rounding
-        return np.linalg.solve(G, g[..., None])[..., 0]
-    for M, b in zip(G, g):
-        b[:] = np.linalg.lstsq(M, b, rcond=None)[0]
-    g[:, :n_teams][~seen] = 0.0
-    return g
+    return _ridge_solve(G, g, penalty, np.finfo(float).eps ** 0.5 * (m + 1), seen)

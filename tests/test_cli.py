@@ -12,6 +12,7 @@ from seasoninfo import ingest
 from seasoninfo.analysis import CurveRow
 from seasoninfo.cli import curve_text, fmt6, main, read_curve_file
 from seasoninfo.harness import DEFAULT_X_GRID
+from test_acceptance import FOUR_LEAGUES
 
 CANONICAL = "date,home,away,home_score,away_score\n"
 
@@ -370,15 +371,18 @@ def test_curve_rejects_jobs_below_one(tmp_path, capsys, jobs):
 
 
 def test_curve_at_a_tiny_bt_penalty_exits_0_or_4(tmp_path, capsys):
-    # A penalty lost to rounding against the BT Hessian: LU meets exact
-    # zero pivots, and rows that cannot converge count as BT failures.
+    # A penalty lost to rounding against the BT Hessian, below the floor
+    # eps * (m + 1): Newton takes least-norm steps, and every replicate
+    # with a decisive game converges, so no row counts a BT failure.
     src = tmp_path / "s.csv"
     assert main(["synth", "--teams", "4", "--games-per-team", "6", "--seed", "5",
                  "--strength-sd", "8", "--out", str(src)]) == 0
     code = main(["curve", str(src), "--league", "NFL", "--bt-penalty", "1e-300",
                  "--replicates", "20", "--out", str(tmp_path / "c.csv")])
-    assert code in (0, 4)
+    assert code == 0
     assert "Traceback" not in capsys.readouterr().err
+    rows = read_curve_file(tmp_path / "c.csv")
+    assert len(rows) == len(DEFAULT_X_GRID) and all(r.bt_failures == 0 for r in rows)
 
 
 def test_curve_checks_jobs_before_reading_any_input(tmp_path, capsys):
@@ -599,3 +603,53 @@ def test_synth_refuses_a_strengths_file_it_cannot_read(tmp_path, capsys, body, c
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == [strengths]
+
+
+# sha256 of each primary output of synth, curve (CSV and JSON) and summary
+# on criterion 7's four leagues, at the default grid and 100 replicates. A
+# change that means to move these bytes updates them, and CHANGES.md states
+# what moved, the largest deviation and why.
+PRIMARY_OUTPUTS = {
+    "MLB.csv": "449618378cc75962f044fb585801e0f5516b9a2f3e775a897e3b999e14542b0e",
+    "MLB.truth.json": "283cd8d8c3072ef6e3644c6f1223941cea7e84f27dc9bdb33e2e1013dc3c047b",
+    "MLB_curve.csv": "a4ba9da311fdaef56892daf07c42e932e60107d348d7ef95a1667f25888de015",
+    "MLB_curve.json": "fd8274047f910e60d97c966187f5abe7d78f34d6ffc83d45913254752e0b3f2c",
+    "NBA.csv": "a1ce72db54fc6529181c222dea02a30eba321063ab1eb108677bdccbf0b22049",
+    "NBA.truth.json": "20a6de0e43f0bd6495bc1a84f24120eea4e1d675d4281df568c29e673aca9088",
+    "NBA_curve.csv": "39c0cfa682acf415846c589d9a66a0a372b5862f60bae89f97764fabecaa28de",
+    "NBA_curve.json": "5b41eb1f630db481eded90f7fa6f9e6269640834f61dac5aeacdb4e63199499f",
+    "NFL.csv": "6983380423ed1c4afbfe9ef81b336025d2dcf52d84a809148d653a32bde13acb",
+    "NFL.truth.json": "f5a7c963213a193811a0d28acfb34267e65e7eee801324e2b343696a652afd6b",
+    "NFL_curve.csv": "6d5b7a74355b5490395ddbe0defe7ede703d0485aa28b1ecb3032f8021d1d19d",
+    "NFL_curve.json": "875d731fb504fe8d8488c06e8c7a51c3f4d1bfd5717df55316011f71a2c690ca",
+    "NHL.csv": "cf051e8bc415c451f4a8b8d30a4907f78d69f62b8489688128c23ef1ac2a8e96",
+    "NHL.truth.json": "f5b7e7e5faa18deb773ea29208db9283ceab085dd7a1ac1583635737411ca60a",
+    "NHL_curve.csv": "a68b9bc3f718c61090f5a1e3a3c2eb43ab4bf64fd5053523ba1fc8c6db567c6f",
+    "NHL_curve.json": "760c0114a30d052c23c2122205c7890abb6f1117e9ea639c514fc85de5bbba6d",
+    "report/summary.json": "48675e891f475c3db7fb61ab4ad686909cba8ae52415dd8c9f33deea8a4e753d",
+    "report/table_or.csv": "983e96b0d3db4fcb4c0533651f834fb71dc8adc9c044e3495602b263bdc4f909",
+    "report/table_slopes.csv": "27d677ea130b3bef049f751b38e7039de24fdfcc7269c9bdc29bc1e9fff98914",
+}
+
+
+def test_primary_output_bytes_are_pinned(tmp_path):
+    synth_flags = {"n_teams": "--teams", "games_per_team": "--games-per-team", "seed": "--seed",
+                   "strength_sd": "--strength-sd", "home_adv": "--home-adv",
+                   "mov_scale": "--mov-scale", "mov_noise_sd": "--mov-noise-sd"}
+    for league, kw in FOUR_LEAGUES.items():
+        season = tmp_path / f"{league}.csv"
+        flags = [str(x) for name, value in kw.items() for x in (synth_flags[name], value)]
+        assert main(["synth", *flags, "--out", str(season)]) == 0
+        curve = ["curve", str(season), "--league", league, "--replicates", "100",
+                 "--seed", str(kw["seed"])]
+        for out, jobs in (("curve.csv", "1"), ("curve_jobs2.csv", "2"), ("curve.json", "2")):
+            assert main([*curve, "--jobs", jobs, "--out", str(tmp_path / f"{league}_{out}")]) == 0
+        jobs2 = tmp_path / f"{league}_curve_jobs2.csv"
+        assert jobs2.read_bytes() == (tmp_path / f"{league}_curve.csv").read_bytes(), league
+    report = tmp_path / "report"
+    assert main(["summary", *(str(tmp_path / f"{lg}_curve.csv") for lg in FOUR_LEAGUES),
+                 "--out", str(report)]) == 0
+    got = {str(path.relative_to(tmp_path)): sha256(path)
+           for path in sorted([*tmp_path.glob("*.*"), *report.glob("*.*")])
+           if "manifest" not in path.name and "jobs2" not in path.name}
+    assert got == PRIMARY_OUTPUTS

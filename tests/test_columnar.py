@@ -11,7 +11,8 @@ iterates) are restated here as references for the ones that replaced
 them, and so is the boolean mask the splits were first taken with. The
 full-size margin fit is pinned, bit for bit, to a dense solve of its own
 system, and at penalty 0 to least squares; the full-size BT fit, bit for
-bit, to plain Newton on one row.
+bit, to plain Newton on one row. Below the BT penalty floor every row with
+a decisive game converges; above it, small-season fits keep pinned bits.
 Replicates fitted together in chunks must match, bit for bit, the same
 replicates fitted one at a time, whatever the work units' size. Newton
 computes the objective only where a step did not shrink the gradient
@@ -21,6 +22,7 @@ norm.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import tracemalloc
 
@@ -264,8 +266,8 @@ def test_mov_fit_at_penalty_0_is_least_squares():
     """Small seasons are often disconnected, or have a home advantage
     confounded with strengths: numerically singular systems that a plain
     solve returns without an error, with strengths near 1e17. A positive
-    penalty near the rounding of the diagonal, where LU can meet an exact
-    zero pivot, is fitted as penalty 0."""
+    penalty below the margin fit's floor sqrt(eps) * (m + 1), which LU's
+    rounding could swamp, is fitted as penalty 0."""
     rng = np.random.default_rng(1602)
     for _ in range(2000):
         n_teams = int(rng.integers(2, 10))
@@ -297,8 +299,8 @@ def _train_rows(season, config, fraction):
 
 @pytest.mark.parametrize("name", list(SEASONS))
 def test_chunked_fits_match_one_replicate_fits(name):
-    """Also at penalty 1e-300, lost to rounding against every Hessian, where
-    LU meets exact zero pivots and a unit's rows are solved one by one."""
+    """Also at penalty 1e-300, below both fits' floors, where each row of a
+    unit takes its own least-norm solution."""
     season = SEASONS[name]()
     n_teams = len(season.teams)
     config = ProtocolConfig(replicates=100, master_seed=23)
@@ -330,12 +332,66 @@ def test_chunked_fits_match_one_replicate_fits(name):
     (1e-20, 4, [1, 2, 2, 3, 1, 3, 1, 2], [2, 1, 0, 1, 2, 2, 0, 0],
      [92, -104, -143, -45, 92, 38, -51, -153])])
 def test_overflowing_steps_leave_no_warning(penalty, n_teams, h, a, margin):
-    """Replicates from small seasons whose Newton systems LU solves with
-    near-zero pivots: candidates whose gradient norm overflows, or whose
-    strengths give inf - inf, count as no progress. The fit ends finite,
-    with no floating-point warning."""
+    """Replicates from small seasons whose Newton systems LU would solve
+    with near-zero pivots, stepping along the strengths' constant direction
+    towards overflow. Below the floor the steps are least-norm: the fit
+    converges, finite, with no floating-point warning."""
     coef, _, gnorm = fit_bt_batch(*(np.array([col]) for col in (h, a, margin)), n_teams, penalty)
     assert np.isfinite(coef).all() and np.isfinite(gnorm).all()
+    assert (gnorm <= 1e-8).all()
+
+
+def _small_seasons():
+    """Train sets of ten small seasons with wide strength spreads (3-8
+    teams, 4-11 games each), 20 replicates at each default fraction: many
+    are separable, disconnected or without a decisive game."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        n_teams, games = int(rng.integers(3, 9)), int(rng.integers(4, 11))
+        spec = SynthSpec(n_teams=n_teams, games_per_team=games + n_teams * games % 2, seed=seed,
+                         home_adv=0.3, strength_sd=8.0, mov_scale=7.0, mov_noise_sd=12.0)
+        season = generate_season(spec)[0]
+        config = ProtocolConfig(replicates=20, master_seed=seed)
+        for f in config.x_grid:
+            yield (*_train_rows(season, config, f), n_teams)
+
+
+@pytest.mark.parametrize("penalty", (1e-16, 1e-20, 1e-300))
+def test_fits_below_the_floor_converge_with_unseen_strengths_0(penalty):
+    """Below the BT floor eps * (m + 1) each Newton step is the row's
+    least-norm one: every row with a decisive game converges, and a team
+    without a decisive training game keeps strength exactly +0.0."""
+    unseen = 0
+    for home, away, margin, n_teams in _small_seasons():
+        coef, _, gnorm = fit_bt_batch(home, away, margin, n_teams, penalty)
+        decisive = margin != 0
+        assert (gnorm[decisive.any(axis=1)] <= 1e-8).all()
+        for h, a, d, c in zip(home, away, decisive, coef):
+            s, seen = c[:-1], np.zeros(n_teams, dtype=bool)
+            seen[h[d]] = seen[a[d]] = True
+            assert (s[~seen] == 0.0).all() and not np.signbit(s[~seen]).any()
+            unseen += (~seen).sum()
+    assert unseen
+
+
+# sha256 of _small_seasons' BT coefficients, iterations and norms, then
+# margin coefficients. At 1e-12 the BT fit is above its floor and the margin
+# fit below its own; at 1.0 both are above.
+SMALL_SEASON_FITS = {
+    1e-12: "b2cc0fd757ff6f543482fb2624f5c94a415ea100de5b173e5dfceabede2da8c4",
+    1.0: "92d31269c1ba8cf14458decba4b04233bf2018cbc61b55a422c78e68ccca2498",
+}
+
+
+@pytest.mark.parametrize("penalty", list(SMALL_SEASON_FITS))
+def test_fits_above_the_bt_floor_keep_their_bits(penalty):
+    digest = hashlib.sha256()
+    for home, away, margin, n_teams in _small_seasons():
+        coef, iterations, gnorm = fit_bt_batch(home, away, margin, n_teams, penalty)
+        for x in (coef, iterations.astype(np.int64), gnorm,
+                  fit_mov_batch(home, away, margin, n_teams, penalty)):
+            digest.update(x.tobytes())
+    assert digest.hexdigest() == SMALL_SEASON_FITS[penalty]
 
 
 def test_bt_fit_of_no_rows_or_of_rows_without_games():

@@ -141,16 +141,18 @@ class TestFitBt:
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_tiny_penalty_converges_or_raises_fit_error(self, rnd):
-        # A penalty lost to rounding against the Hessian's Laplacian, where
-        # LU can meet an exact zero pivot.
+        # Penalties below the floor eps * (m + 1), lost to rounding against
+        # the Hessian's Laplacian: every Newton step is the least-norm one,
+        # and a fit with a decisive game converges.
         teams = ["A", "B", "C", "D"]
         games = [game_from_margin(i, *rnd.sample(teams, 2), rnd.choice([-7, -3, 0, 3, 7]))
                  for i in range(1, rnd.randint(2, 14))]
         for penalty in (1e-16, 1e-20, 1e-300):
-            try:
-                fit = fit_bt(games, teams, penalty=penalty)
-            except FitError:
+            if not any(g.margin for g in games):
+                with pytest.raises(FitError, match="no decisive"):
+                    fit_bt(games, teams, penalty=penalty)
                 continue
+            fit = fit_bt(games, teams, penalty=penalty)
             assert fit.converged and fit.final_gradient_norm <= 1e-8
 
     def test_swept_round_robin_at_a_tiny_penalty(self):
@@ -158,10 +160,11 @@ class TestFitBt:
             [(h, a, 1) for h, a in
              [("A", "B"), ("B", "A"), ("A", "C"), ("C", "A"), ("B", "C"), ("C", "B")]]
         )
-        # The Hessian's strength block is its Laplacian to working precision,
-        # singular, so LU meets zero pivots and most steps are least-norm
-        # ones. The home advantage grows until its gradient, 6 (1 - pi) less
-        # a negligible penalty term, falls below tol.
+        # The penalty is below the floor eps * (m + 1), and the Hessian's
+        # strength block is its Laplacian to working precision, singular:
+        # every step is the least-norm one, which leaves the strengths at 0.
+        # The home advantage grows until its gradient, 6 (1 - pi) less a
+        # negligible penalty term, falls below tol.
         fit = fit_bt(games, {"A", "B", "C"}, penalty=1e-300)
         assert fit.converged and fit.strengths == {"A": 0.0, "B": 0.0, "C": 0.0}
         assert 6 / (1 + math.exp(fit.home_adv)) <= 1e-8
