@@ -22,6 +22,7 @@ from .harness import (
     home_baseline,
     make_split,
     run_protocol,
+    run_seasons,
 )
 from .ingest import (
     Game,
@@ -77,6 +78,7 @@ __all__ = [
     "predict_bt",
     "predict_mov",
     "run_protocol",
+    "run_seasons",
     "season_to_csv",
     "summarize_league",
     "summarize_season",

@@ -32,7 +32,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import SLOPE_COLUMNS, CurveRow, informativeness_ratios, summarize_league
 from .errors import ConfigError, FitError, ParseError, SeasonInfoError
-from .harness import ProtocolConfig, run_protocol
+from .harness import ProtocolConfig, run_seasons
 from .ingest import League, parse_season, season_to_csv, summarize_season
 from .synth import SynthSpec, generate_season
 
@@ -189,7 +189,7 @@ def cmd_curve(args) -> int:
         bt_penalty=args.bt_penalty,
         mov_penalty=args.mov_penalty,
     )
-    if args.jobs < 1:  # run_protocol checks it too, but only once the inputs are read
+    if args.jobs < 1:  # run_seasons checks it too, but only once the inputs are read
         raise ConfigError(f"jobs must be at least 1, got {args.jobs}")
     labels = [Path(p).stem for p in args.inputs]
     if len(set(labels)) < len(labels):
@@ -201,8 +201,9 @@ def cmd_curve(args) -> int:
     seasons = list(_load_seasons(args.inputs, league))
 
     rows = []
-    for _, _, season in seasons:
-        points = run_protocol(season, config, jobs=args.jobs)
+    schedule = {"jobs": args.jobs}
+    runs = run_seasons([season for _, _, season in seasons], config, args.jobs, schedule)
+    for (_, _, season), points in zip(seasons, runs):
         for pt in points:
             if pt.bt_failures >= config.replicates:
                 raise FitError(f"every replicate failed for {season.season_label} "
@@ -213,7 +214,7 @@ def cmd_curve(args) -> int:
     _commit({out: curve_text(out, rows)}, out.with_name(out.name + ".manifest.json"), [
         {"path": str(path), "season": season.season_label, "sha256": digest}
         for path, digest, season in seasons
-    ], league=league.value, config=dataclasses.asdict(config))
+    ], league=league.value, config=dataclasses.asdict(config), schedule=schedule)
     return EXIT_OK
 
 

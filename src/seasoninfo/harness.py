@@ -157,27 +157,38 @@ def evaluate_chunk(columns, n_teams: int, config: ProtocolConfig, fraction: floa
             in zip(bt_acc, (gnorm <= config.bt_tol).tolist(), mov_acc, score(True, margin))]
 
 
+def _replicate_bytes(n_games: int, n_teams: int) -> int:
+    return GAME_BYTES * n_games + TEAM_BYTES * (n_teams + 1) ** 2
+
+
 def _chunks(config: ProtocolConfig, n_games: int, n_teams: int,
             jobs: int) -> list[tuple[float, range]]:
-    """(fraction, replicates) work units. A unit holds as many replicates
-    as fit in UNIT_BYTES; with workers, each fraction splits into at least
-    two units per worker so that a one-fraction call keeps them all busy."""
-    size = max(1, UNIT_BYTES // (GAME_BYTES * n_games + TEAM_BYTES * (n_teams + 1) ** 2))
+    """(fraction, replicates) work units of one season for ``jobs`` workers.
+    A unit holds as many replicates as fit in UNIT_BYTES; with workers, each
+    fraction splits into at least two units per worker so that a
+    one-fraction call keeps them all busy."""
+    size = max(1, UNIT_BYTES // _replicate_bytes(n_games, n_teams))
     if jobs > 1:
         size = min(size, -(-config.replicates // (2 * jobs)))
     return [(f, range(lo, min(lo + size, config.replicates)))
             for f in config.x_grid for lo in range(0, config.replicates, size)]
 
 
-def _evaluate_share(send, state, share) -> None:
+def _evaluate_share(send, states, config, share) -> None:
     """Helper process body: evaluate ``share``'s units and send back
     (True, their results) or (False, the exception), once."""
     try:
-        result = True, [evaluate_chunk(*state, *task) for task in share]
+        result = True, _evaluate_units(states, config, share)
     except Exception as exc:  # re-raised by the caller
         result = False, exc
     send.send(result)
     send.close()
+
+
+def _evaluate_units(states, config, units) -> list:
+    """``evaluate_chunk``'s results for each ((season, fraction), replicates)
+    unit; ``states`` holds each season's (columns, n_teams)."""
+    return [evaluate_chunk(*states[s], config, f, ks) for (s, f), ks in units]
 
 
 def _narrow(col):
@@ -196,37 +207,55 @@ def _mean_sd(values: list[float]) -> tuple[float, float]:
 def run_protocol(season: Season, config: ProtocolConfig, jobs: int = 1) -> list[CurvePoint]:
     """Run the full grid: K seeded splits per fraction, both models fit per
     split, accuracies averaged. Replicates whose fit fails are dropped
-    from that model's average and counted in the output.
+    from that model's average and counted in the output. ``jobs`` only
+    controls parallelism, as for ``run_seasons``."""
+    (points,) = run_seasons([season], config, jobs)
+    return points
 
-    ``jobs`` only controls parallelism: the work units are dealt into
-    fixed interleaved shares, one per worker, at most one worker per unit
-    and per usable CPU. The caller evaluates the first share and a helper
-    process each other one. Results are reduced by (fraction, replicate)
-    key and are bit-identical for any job count.
+
+def run_seasons(seasons, config: ProtocolConfig, jobs: int = 1,
+                schedule: dict | None = None) -> list[list[CurvePoint]]:
+    """``run_protocol``'s points for each of ``seasons``, from one schedule
+    of workers for them all.
+
+    The work units of every season are dealt into fixed interleaved shares,
+    one per worker. Workers number at most ``jobs``, the usable CPUs and
+    the units, and one per two UNIT_BYTES of the call's work. The caller
+    evaluates the first share and a helper process each other one. Results
+    are reduced by (season, fraction, replicate) key and are bit-identical
+    for any job count. If ``schedule`` is a dict, it gets the ``workers``
+    used and the ``units`` evaluated.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    n = len(season.rows)
-    for f in config.x_grid:
-        train_size(f, n)  # fail before any work starts
-    state = (tuple(map(_narrow, season.columns)), len(season.teams), config)
-
-    # more workers than the CPUs this process may use only take turns
+    for season in seasons:
+        for f in config.x_grid:
+            train_size(f, len(season.rows))  # fail before any work starts
+    states = [(tuple(map(_narrow, season.columns)), len(season.teams)) for season in seasons]
+    call_bytes = len(config.x_grid) * config.replicates * sum(
+        _replicate_bytes(len(season.rows), len(season.teams)) for season in seasons)
+    # More workers than the CPUs this process may use only take turns, and
+    # starting a helper costs about one unit's CPU, so a worker is added only
+    # for every two full units of work.
     jobs = min(jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
-    tasks = _chunks(config, n, len(season.teams), jobs)
-    workers = min(jobs, len(tasks))
+               else os.cpu_count() or 1, max(1, call_bytes // (2 * UNIT_BYTES)))
+    tasks = [((s, f), ks) for s, season in enumerate(seasons)
+             for f, ks in _chunks(config, len(season.rows), len(season.teams), jobs)]
+    workers = max(1, min(jobs, len(tasks)))  # no task only for no season
+    if schedule is not None:
+        schedule.update(workers=workers, units=len(tasks))
     shares = [tasks[i::workers] for i in range(workers)]
     helpers = []  # (process, read end of its pipe)
     read = 0  # helpers whose pipe has been read
     try:
         for share in shares[1:]:
             recv, send = multiprocessing.Pipe(duplex=False)
-            helper = multiprocessing.Process(target=_evaluate_share, args=(send, state, share))
+            helper = multiprocessing.Process(target=_evaluate_share,
+                                             args=(send, states, config, share))
             helper.start()
             send.close()  # the helper's death then ends the pipe, and no later helper holds it
             helpers.append((helper, recv))
-        chunks = [[evaluate_chunk(*state, *task) for task in shares[0]]]
+        chunks = [_evaluate_units(states, config, shares[0])]
         for helper, recv in helpers:
             try:
                 ok, got = recv.recv()
@@ -244,15 +273,16 @@ def run_protocol(season: Season, config: ProtocolConfig, jobs: int = 1) -> list[
         for helper, recv in helpers:
             recv.close()
             helper.join()
-    results = {(f, k): cell for share, got in zip(shares, chunks)
-               for (f, ks), chunk in zip(share, got) for k, cell in zip(ks, chunk)}
+    results = {(s, f, k): cell for share, got in zip(shares, chunks)
+               for ((s, f), ks), chunk in zip(share, got) for k, cell in zip(ks, chunk)}
+    return [[_point(season, f, [results[s, f, k] for k in range(config.replicates)])
+             for f in config.x_grid] for s, season in enumerate(seasons)]
 
-    points = []
-    for f in config.x_grid:
-        rows = [results[f, k] for k in range(config.replicates)]
-        bt_vals = [bt for bt, _, _ in rows if bt is not None]
-        points.append(CurvePoint(  # the closed-form margin fit cannot fail
-            f, f * (2.0 * n / len(season.teams)), *_mean_sd(bt_vals),
-            *_mean_sd([mov for _, mov, _ in rows]), float(np.mean([b for _, _, b in rows])),
-            bt_failures=len(rows) - len(bt_vals), mov_failures=0))
-    return points
+
+def _point(season: Season, fraction: float, rows) -> CurvePoint:
+    """One season's curve point at ``fraction`` from its replicates' cells."""
+    bt_vals = [bt for bt, _, _ in rows if bt is not None]
+    return CurvePoint(  # the closed-form margin fit cannot fail
+        fraction, fraction * (2.0 * len(season.rows) / len(season.teams)), *_mean_sd(bt_vals),
+        *_mean_sd([mov for _, mov, _ in rows]), float(np.mean([b for _, _, b in rows])),
+        bt_failures=len(rows) - len(bt_vals), mov_failures=0)

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from seasoninfo import ingest
+from seasoninfo import harness, ingest
 from seasoninfo.analysis import CurveRow
 from seasoninfo.cli import curve_text, fmt6, main, read_curve_file
 from seasoninfo.harness import DEFAULT_X_GRID
@@ -57,6 +57,42 @@ def test_curve_is_deterministic_and_byte_identical(tmp_path):
     assert manifest["config"]["master_seed"] == 9
     assert len(manifest["inputs"][0]["sha256"]) == 64
     assert manifest["outputs"] == [{"path": str(out1), "sha256": sha256(out1)}]
+
+
+def test_curve_manifest_says_how_the_call_ran(tmp_path, monkeypatch):
+    """The manifest records the requested --jobs, the workers used and the
+    unit count, so a --jobs 2 call that ran in one process shows as one."""
+    src = toy_csv(tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argv = ["curve", str(src), "--league", "NFL", "--x-grid", "0.5", "--replicates", "12",
+            "--jobs", "2"]
+
+    def schedule(name):
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        return json.loads((tmp_path / f"{name}.manifest.json").read_text())["schedule"]
+
+    assert schedule("small.csv") == {"jobs": 2, "workers": 1, "units": 1}
+    # units of 3 replicates' bytes (16 games, 4 teams): 12 replicates are 4 units of work
+    monkeypatch.setattr(harness, "UNIT_BYTES",
+                        3 * (harness.GAME_BYTES * 16 + harness.TEAM_BYTES * 5 ** 2))
+    assert schedule("large.csv") == {"jobs": 2, "workers": 2, "units": 4}
+
+
+def test_curve_with_a_season_of_only_ties_exits_4_and_writes_nothing(tmp_path, capsys,
+                                                                    monkeypatch):
+    """The fit check covers every season of the call before anything is
+    written, also when a helper evaluated part of it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(harness, "UNIT_BYTES", 1)  # each replicate is a unit worth a worker
+    first = toy_csv(tmp_path)
+    ties = tmp_path / "ties.csv"
+    ties.write_text(CANONICAL + "".join(f"2012-09-{i:02d},AA,BB,1,1\n" for i in range(1, 9)),
+                    encoding="utf-8")
+    code = main(["curve", str(first), str(ties), "--league", "NHL", "--x-grid", "0.5",
+                 "--replicates", "4", "--jobs", "2", "--out", str(tmp_path / "c.csv")])
+    assert code == 4
+    assert "every replicate failed for ties" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([first, ties])
 
 
 def test_curve_json_output_matches_csv_numbers(tmp_path):

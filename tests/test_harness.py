@@ -22,6 +22,7 @@ from seasoninfo import (
     home_baseline,
     make_split,
     run_protocol,
+    season_to_csv,
     summarize_season,
 )
 from seasoninfo import harness
@@ -152,8 +153,17 @@ def usable_cpus(monkeypatch, cpus, affinity=True):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
 
+def unit_replicates(monkeypatch, season, replicates):
+    """Make a work unit of ``season`` hold ``replicates`` replicates: with
+    the default budget, a small season's call is too little work for a
+    helper to pay its way."""
+    per_replicate = (harness.GAME_BYTES * len(season.rows)
+                     + harness.TEAM_BYTES * (len(season.teams) + 1) ** 2)
+    monkeypatch.setattr(harness, "UNIT_BYTES", replicates * per_replicate)
+
+
 def record_helpers(monkeypatch) -> list:
-    """Replace ``multiprocessing.Process`` for ``run_protocol``: each helper
+    """Replace ``multiprocessing.Process`` for ``run_seasons``: each helper
     started is recorded and runs its share in this process, so no process is
     made. Returns the list of the helpers' shares."""
     shares = []
@@ -184,6 +194,7 @@ def test_jobs_start_at_most_one_worker_per_unit(monkeypatch, small_league, jobs,
     season, _ = small_league
     config = ProtocolConfig(x_grid=(0.5,), replicates=replicates, master_seed=11)
     usable_cpus(monkeypatch, 64)
+    monkeypatch.setattr(harness, "UNIT_BYTES", 1)  # each replicate is a unit worth a worker
     shares = record_helpers(monkeypatch)
     points = run_protocol(season, config, jobs=jobs)
     assert len(shares) == (0 if workers is None else workers - 1)
@@ -194,7 +205,10 @@ def test_jobs_start_at_most_one_worker_per_unit(monkeypatch, small_league, jobs,
                                                    (None, False, 0)])
 def test_jobs_are_capped_at_the_usable_cpus(monkeypatch, small_league, cpus, affinity, helpers):
     season, _ = small_league
-    config = ProtocolConfig(x_grid=(0.5,), replicates=12, master_seed=11)
+    # Four workers need 8 UNIT_BYTES of work, and 2-replicate units a budget
+    # of at least 2 replicates: so two fractions of 12, and 3-replicate units.
+    config = ProtocolConfig(x_grid=(0.25, 0.75), replicates=12, master_seed=11)
+    unit_replicates(monkeypatch, season, 3)
     usable_cpus(monkeypatch, cpus, affinity)
     shares = record_helpers(monkeypatch)
     points = run_protocol(season, config, jobs=1000)
@@ -203,6 +217,38 @@ def test_jobs_are_capped_at_the_usable_cpus(monkeypatch, small_league, cpus, aff
     # one replicate each as for 1000 workers
     assert {len(ks) for share in shares for _, ks in share} <= {2}
     assert repr(points) == repr(run_protocol(season, config, jobs=1))
+
+
+def test_a_call_too_small_for_a_helper_runs_in_the_caller(monkeypatch, small_league):
+    """One fraction of a small season is less than two units of work, so
+    ``--jobs 2`` starts no helper and evaluates ``--jobs 1``'s units."""
+    season, _ = small_league
+    config = ProtocolConfig(x_grid=(0.5,), replicates=100, master_seed=11)
+    usable_cpus(monkeypatch, 2)
+    shares = record_helpers(monkeypatch)
+    points = run_protocol(season, config, jobs=2)
+    assert shares == []
+    assert repr(points) == repr(run_protocol(season, config, jobs=1))
+
+
+def test_a_call_of_many_seasons_starts_its_helpers_once(monkeypatch, tmp_path):
+    """The units of every season of a ``curve`` call are dealt into one set
+    of shares: three seasons at ``--jobs 2`` start one helper, not three."""
+    paths = []
+    for seed in (1, 2, 3):
+        season, _ = generate_season(SynthSpec(n_teams=8, games_per_team=10, seed=seed,
+                                              strength_sd=1.0))
+        paths.append(tmp_path / f"s{seed}.csv")
+        paths[-1].write_text(season_to_csv(season), encoding="utf-8")
+    unit_replicates(monkeypatch, season, 3)  # each season alone is worth two workers
+    usable_cpus(monkeypatch, 2)
+    argv = ["curve", *map(str, paths), "--league", "NFL", "--x-grid", "0.5",
+            "--replicates", "12"]
+    assert main([*argv, "--out", str(tmp_path / "jobs1.csv")]) == 0
+    shares = record_helpers(monkeypatch)
+    assert main([*argv, "--jobs", "2", "--out", str(tmp_path / "jobs2.csv")]) == 0
+    assert len(shares) == 1
+    assert (tmp_path / "jobs2.csv").read_bytes() == (tmp_path / "jobs1.csv").read_bytes()
 
 
 needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -240,6 +286,7 @@ def helper_run(monkeypatch, small_league):
             return run_protocol(season, config, jobs=2)
 
     usable_cpus(monkeypatch, 2)
+    unit_replicates(monkeypatch, season, 3)  # 4 units, 2 workers
     yield run
     for left in multiprocessing.active_children():
         left.terminate()
@@ -288,6 +335,7 @@ def test_jobs_write_buffered_stdout_once(tmp_path):
     argv = ["curve", str(season), "--league", "NFL", "--replicates", "12", "--x-grid", "0.5",
             "--jobs", "2", "--out", str(curve)]
     script = ("import os; os.sched_getaffinity = lambda pid: {0, 1}\n"  # a helper on any machine
+              "from seasoninfo import harness; harness.UNIT_BYTES = 1\n"  # worth a helper
               "from seasoninfo.cli import main\n"
               f"print('x', end=''); raise SystemExit(main({argv!r}))")
     path = [str(Path(seasoninfo.__file__).parents[1]), os.environ.get("PYTHONPATH")]
