@@ -107,13 +107,15 @@ def train_size(fraction: float, n_games: int) -> int:
 def _split_indices(n_games: int, config: ProtocolConfig, fraction: float, replicates):
     """Train and test game indices, ascending, one row per listed replicate."""
     m = train_size(fraction, n_games)
-    train = np.empty((len(replicates), m), dtype=np.intp)
-    test = np.empty((len(replicates), n_games - m), dtype=np.intp)
-    for k, tr, te in zip(replicates, train, test):
-        chosen = np.zeros(n_games, dtype=bool)  # one row's mask at a time
-        chosen[np.random.default_rng(split_seed(config.master_seed, fraction, k))
-               .permutation(n_games)[:m]] = True
-        tr[:], te[:] = np.flatnonzero(chosen), np.flatnonzero(~chosen)
+    chosen = np.zeros((len(replicates), n_games), dtype=bool)  # the unit's train games
+    for row, k in zip(chosen, replicates):
+        row[np.random.default_rng(split_seed(config.master_seed, fraction, k))
+            .permutation(n_games)[:m]] = True
+    offsets = (np.arange(len(chosen)) * n_games)[:, None]  # row k's flat index starts
+    train = np.flatnonzero(chosen).reshape(len(chosen), m)
+    train -= offsets
+    test = np.flatnonzero(np.logical_not(chosen, out=chosen)).reshape(len(chosen), n_games - m)
+    test -= offsets
     return train, test
 
 

@@ -133,8 +133,9 @@ def parse_season(source, league: League, season_label: str) -> Season:
 
     Raises ParseError naming the offending 1-based line for malformed
     rows (wrong column count, bad date, non-integer score, a score above
-    MAX_SCORE, home == away)
-    and for files with no data rows.
+    MAX_SCORE, home == away) and for text the csv module refuses (such as
+    a field longer than ``csv.field_size_limit()``), and for files with
+    no data rows. The season's ``teams`` are collected during the scan.
     """
     if isinstance(source, (bytes, bytearray)):
         raw = bytes(source)
@@ -146,42 +147,54 @@ def parse_season(source, league: League, season_label: str) -> Season:
         raise ParseError(f"input is not valid UTF-8: {exc}") from None
 
     reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty season: file has no rows") from None
-    if tuple(header) != CSV_HEADER:
-        raise ParseError(
-            f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}", line=1
-        )
-
     rows = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue  # ignore a trailing blank line
-        if len(row) != 5:
-            raise ParseError(f"expected 5 columns, got {len(row)}", line=line_no)
-        date_s, home, away, hs_s, as_s = (field.strip() for field in row)
-        try:
-            date = dt.date.fromisoformat(date_s)
-        except ValueError:
-            raise ParseError(f"bad date {date_s!r}", line=line_no) from None
-        if not home or not away:
-            raise ParseError("empty team id", line=line_no)
-        if home == away:
-            raise ParseError(f"home and away are both {home!r}", line=line_no)
-        scores = []
-        for s in (hs_s, as_s):
-            if not (s.isascii() and s.isdigit()):
-                raise ParseError(f"score {s!r} is not a non-negative integer", line=line_no)
-            if len(s.lstrip("0")) > 19 or int(s) > MAX_SCORE:  # int() refuses 4,300+ digits
-                raise ParseError(f"score {s[:30]} is above {MAX_SCORE}", line=line_no)
-            scores.append(int(s))
-        rows.append((date, home, away, scores[0], scores[1]))
+    teams = set()
+    dates = {}  # each distinct date string is parsed once
+    try:  # csv.Error: text the reader refuses, such as a field past its size limit
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty season: file has no rows")
+        if tuple(header) != CSV_HEADER:
+            raise ParseError(
+                f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}", line=1
+            )
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue  # ignore a trailing blank line
+            if len(row) != 5:
+                raise ParseError(f"expected 5 columns, got {len(row)}", line=line_no)
+            date_s, home, away, hs_s, as_s = map(str.strip, row)
+            date = dates.get(date_s)
+            if date is None:
+                try:
+                    date = dates[date_s] = dt.date.fromisoformat(date_s)
+                except ValueError:
+                    raise ParseError(f"bad date {date_s!r}", line=line_no) from None
+            if not home or not away:
+                raise ParseError("empty team id", line=line_no)
+            if home == away:
+                raise ParseError(f"home and away are both {home!r}", line=line_no)
+            rows.append((date, home, away, _score(hs_s, line_no), _score(as_s, line_no)))
+            teams.add(home)
+            teams.add(away)
+    except csv.Error as exc:
+        raise ParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None
 
     if not rows:
         raise ParseError("empty season: file has a header but no games")
-    return Season(league, season_label, tuple(rows))
+    season = Season(league, season_label, tuple(rows))
+    season.__dict__["teams"] = frozenset(teams)
+    return season
+
+
+def _score(s: str, line_no: int) -> int:
+    """The score field ``s`` of line ``line_no`` as an int, or ParseError."""
+    if not (s.isascii() and s.isdigit()):
+        raise ParseError(f"score {s!r} is not a non-negative integer", line=line_no)
+    # int() refuses 4,300+ digits, so a long score is measured first
+    if (len(s) > 19 and len(s.lstrip("0")) > 19) or (score := int(s)) > MAX_SCORE:
+        raise ParseError(f"score {s[:30]} is above {MAX_SCORE}", line=line_no)
+    return score
 
 
 def season_to_csv(season: Season) -> str:

@@ -1,17 +1,24 @@
-"""Independent reference implementations used to cross-check the fitters.
+"""Independent reference implementations used to cross-check the package.
 
-Everything here works on raw index arrays so it shares no code with the
-package: the win/loss fitter is checked against a derivative-free grid
+The fitters' oracles work on raw index arrays so they share no code with
+the package: the win/loss fitter is checked against a derivative-free grid
 search, the margin fitter against an explicit KKT solve, and gradients
-against central finite differences.
+against central finite differences. The season parser is checked against
+``reference_parse_season``, the plain row loop it replaced.
 """
 
 from __future__ import annotations
 
+import csv
+import datetime as dt
+import io
 import itertools
 
 import numpy as np
 import scipy.optimize
+
+from seasoninfo.errors import ParseError
+from seasoninfo.ingest import CSV_HEADER, MAX_SCORE, Season
 
 
 def bt_objective(params, h_idx, a_idx, w, n_teams, penalty):
@@ -165,3 +172,52 @@ def alpha_only_mle(n_games, penalty, lo=0.0, hi=50.0, tol=1e-13):
         else:
             b = mid
     return 0.5 * (a + b)
+
+
+def reference_parse_season(raw: bytes, league, season_label: str) -> Season:
+    """``parse_season`` as a plain loop: one generator per row, each date
+    parsed where it appears, each score converted twice, and ``teams`` left
+    for ``Season`` to derive from the rows. It raises the same ParseError
+    message and line for every input the csv module can read."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not valid UTF-8: {exc}") from None
+
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty season: file has no rows") from None
+    if tuple(header) != CSV_HEADER:
+        raise ParseError(
+            f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}", line=1
+        )
+
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue  # ignore a trailing blank line
+        if len(row) != 5:
+            raise ParseError(f"expected 5 columns, got {len(row)}", line=line_no)
+        date_s, home, away, hs_s, as_s = (field.strip() for field in row)
+        try:
+            date = dt.date.fromisoformat(date_s)
+        except ValueError:
+            raise ParseError(f"bad date {date_s!r}", line=line_no) from None
+        if not home or not away:
+            raise ParseError("empty team id", line=line_no)
+        if home == away:
+            raise ParseError(f"home and away are both {home!r}", line=line_no)
+        scores = []
+        for s in (hs_s, as_s):
+            if not (s.isascii() and s.isdigit()):
+                raise ParseError(f"score {s!r} is not a non-negative integer", line=line_no)
+            if len(s.lstrip("0")) > 19 or int(s) > MAX_SCORE:  # int() refuses 4,300+ digits
+                raise ParseError(f"score {s[:30]} is above {MAX_SCORE}", line=line_no)
+            scores.append(int(s))
+        rows.append((date, home, away, scores[0], scores[1]))
+
+    if not rows:
+        raise ParseError("empty season: file has a header but no games")
+    return Season(league, season_label, tuple(rows))

@@ -149,6 +149,18 @@ def test_oversized_score_is_a_data_error(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
 
 
+def test_a_field_past_the_csv_size_limit_is_a_data_error(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text(CANONICAL + "2012-01-01,A,B,3,1\n2012-01-02," + "T" * 200_000 + ",A,3,1\n",
+                   encoding="utf-8")
+    for argv in (["curve", str(big), "--league", "NFL", "--x-grid", "0.5",
+                  "--out", str(tmp_path / "c.csv")], ["validate", str(big)]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "line 3" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
+
 def test_curve_rows_round_trip_through_csv_and_json(tmp_path):
     rows = [CurveRow("NFL", "2012", 0.125, 2.0, 0.612345, 0.0123456, 1.0, 0.0, 0.57, 3, 1),
             CurveRow("NBA", "x,y", 0.875, 1 / 3, 0.5, 0.25, 0.0, 2 / 3, 1.0, 0, 99)]

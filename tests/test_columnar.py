@@ -423,6 +423,22 @@ def test_split_indices_match_the_mask_construction():
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (n_games, f)
 
 
+@pytest.mark.parametrize("n_games,replicates", [
+    (256, range(1)), (2430, range(57, 58)),  # one-replicate units
+    (256, range(40, 100)), (7, range(99, 100)),  # units that start past replicate 0
+    (2, range(5)), (2, range(3, 4)),  # the smallest season with a train and a test game
+])
+def test_split_indices_of_odd_units_match_the_mask_construction(n_games, replicates):
+    config = ProtocolConfig(master_seed=31)
+    fractions = [f for f in config.x_grid if 0 < round(f * n_games) < n_games]
+    assert fractions
+    for f in fractions:
+        got = _split_indices(n_games, config, f, replicates)
+        want = mask_split(n_games, config, f, replicates)
+        assert all((g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+                   for g, w in zip(got, want)), (n_games, f)
+
+
 @pytest.mark.parametrize("name", list(SEASONS))
 def test_unit_size_and_jobs_leave_curves_unchanged(monkeypatch, name):
     season = SEASONS[name]()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from seasoninfo import (League, ParseError, Season, parse_season, season_to_csv,
                         summarize_season)
 from conftest import game_from_margin, make_game, season_of
+from oracles import reference_parse_season
 
 CANONICAL = "date,home,away,home_score,away_score\n"
 
@@ -59,11 +60,22 @@ def test_parse_rejects_self_game_with_line_number():
     ("2012-09-09,GB,CHI,23," + "9" * 5000, "score beyond int()'s digit limit"),
     ("not-a-date,GB,CHI,23,10", "bad date"),
     ("2012-09-09,,CHI,23,10", "empty team"),
+    ("2012-09-09,GB,CHI,2\x003,10", "NUL byte: the csv module refuses it on Python 3.10"),
 ])
 def test_parse_rejects_malformed_rows(row, why):
     with pytest.raises(ParseError) as err:
         parse(CANONICAL + row + "\n")
     assert err.value.line == 2, why
+
+
+def test_a_field_past_the_csv_size_limit_names_its_line():
+    long_id = "T" * 200_000  # csv.field_size_limit() is 131,072 characters
+    with pytest.raises(ParseError) as err:
+        parse(CANONICAL + "2012-09-09,GB,CHI,23,10\n" + f"2012-09-10,{long_id},GB,3,1\n")
+    assert err.value.line == 3 and "field larger than field limit" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse(f"date,{long_id},away,home_score,away_score\n2012-09-09,GB,CHI,23,10\n")
+    assert err.value.line == 1
 
 
 def test_parse_accepts_the_largest_int64_score():
@@ -133,6 +145,76 @@ def test_round_trip_property(season):
     assert ([(col.dtype, col.tolist()) for col in season.columns]
             == [(col.dtype, col.tolist())
                 for col in game_encoding(season.games, sorted(season.teams))])
+
+
+BAD_FIELDS = (  # per column: values that corrupt a row, or that a parser could misread
+    ("2012-13-01", "2012-02-30", "not-a-date", "", "2012/09/09", "20120909"),
+    ("", '""', "  "),
+    ("", '""', "  "),
+    ("3.5", "-3", "", "+3", "1e3", "\u0663", "9" * 20, "9" * 5000, "007",
+     "0009223372036854775807", "9223372036854775808"),
+    ("3.5", "-3", "", "9" * 20, "9" * 5000, "0", "00", "0" * 25 + "1"),
+)
+
+
+@st.composite
+def season_texts(draw):
+    """CSV text of a small season, valid or with a few corrupted rows: CRLF
+    or LF endings, blank lines, spaces around fields, quoted fields and
+    dates drawn from a few so that they repeat."""
+    dates = draw(st.lists(st.dates(dt.date(2000, 1, 1), dt.date(2030, 12, 31)).map(str),
+                          min_size=1, max_size=3))
+    teams = ["A", "B", "LAD", "New York", "x,y"]
+    n = draw(st.integers(min_value=1, max_value=12))
+    corrupt = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=2)
+                   if draw(st.booleans()) else st.just(set()))
+    lines = [CANONICAL.strip()]
+    for i in range(n):
+        home, away = draw(st.permutations(teams))[:2]
+        fields = [draw(st.sampled_from(dates)), home, away,
+                  str(draw(st.integers(0, 200))), str(draw(st.integers(0, 200)))]
+        # several faults in one row show which check comes first
+        for fault in sorted(draw(st.sets(st.integers(min_value=0, max_value=6), min_size=1,
+                                         max_size=3)) if i in corrupt else ()):
+            if fault < 5:
+                fields[fault] = draw(st.sampled_from(BAD_FIELDS[fault]))
+            elif fault == 5:
+                fields[2] = fields[1]  # a self-game
+            else:  # too few or too many columns
+                fields = fields[:draw(st.integers(min_value=1, max_value=4))] + \
+                    ["9"] * draw(st.integers(min_value=0, max_value=2))
+        cells = []
+        for field in fields:
+            if "," in field or draw(st.booleans()):  # a space before a quote makes it literal
+                cells.append('"' + field + '"' + " " * draw(st.integers(0, 2)))
+            else:
+                cells.append(" " * draw(st.integers(0, 2)) + field + " " * draw(st.integers(0, 2)))
+        lines.append(",".join(cells))
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            lines.append("")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + eol * draw(st.integers(min_value=0, max_value=2))
+
+
+def parse_outcome(parser, raw):
+    """What ``parser`` makes of ``raw``: its ParseError message and line, or
+    the season's rows, teams and columns."""
+    try:
+        season = parser(raw, League.OTHER, "oracle")
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+    return ("season", season.rows, season.teams,
+            [(col.dtype.str, col.tobytes()) for col in season.columns])
+
+
+@given(season_texts())
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_the_reference_row_loop(text):
+    raw = text.encode("utf-8")
+    got = parse_outcome(parse_season, raw)
+    assert got == parse_outcome(reference_parse_season, raw)
+    if got[0] == "season":
+        assert "teams" in parse_season(raw, League.OTHER, "x").__dict__  # filled by the scan
 
 
 @given(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=200))
