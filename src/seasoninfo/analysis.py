@@ -80,10 +80,6 @@ class BreakpointFit:
     line_sse: float
     meaningful: bool
 
-    @property
-    def improvement(self) -> float:
-        return self.line_sse - self.sse
-
 
 # Grid candidates whose one-pass SSE is within this share of y.y of the
 # smallest are re-fitted exactly. The exact minimizer is among them while

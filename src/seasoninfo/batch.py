@@ -123,18 +123,12 @@ def _ridge_solve(A, b, penalty, floor, seen):
     return x
 
 
-def _front(x, keep):
-    """Move rows ``keep`` of ``x`` to its front, in place; returns them."""
-    x[:len(keep)] = x[keep]
-    return x[:len(keep)]
-
-
 def _bt_newton(h, a, w, decisive, seen, n, penalty, tol, max_iter):
     """Damped Newton in lockstep over rows of games over ``n`` teams, keyed
     as for ``linear_predictor``; ``seen`` (K, n) marks the teams of each
-    row's decisive games. A finished row leaves: the live rows' games move
-    to the front of the game arrays, in place. Returns each row's
-    parameters (strengths, home advantage), iterations and gradient norm."""
+    row's decisive games. A finished row leaves: the live rows' games are
+    gathered into new arrays. Returns each row's parameters (strengths,
+    home advantage), iterations and gradient norm."""
     count, width = len(h), n + 1
     floor = np.finfo(float).eps * (h.shape[1] + 1)
     theta = np.zeros((count, width))
@@ -153,7 +147,7 @@ def _bt_newton(h, a, w, decisive, seen, n, penalty, tol, max_iter):
             keep = np.flatnonzero(live)
             if not keep.size:
                 return fitted, iterations, norms
-            games, pi = [_front(x, keep) for x in games], _front(pi, keep)
+            games, pi = [x[keep] for x in games], pi[keep]
             for keys in games[:2]:
                 keys -= ((keep - np.arange(len(keep))) * width)[:, None]
             theta, grad, gnorm, ids, iters, live, seen = (
@@ -216,9 +210,8 @@ def fit_bt_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PENA
     no_decisive = ~seen.any(axis=1)
     if no_decisive.all():  # also where there is no row or no game: no Newton step
         return np.zeros((count, k)), np.zeros(count, dtype=int), np.full(count, np.nan)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step is halved
-        coef, iterations, norms = _bt_newton(home, away, margin > 0, decisive, seen,
-                                             n_teams, penalty, tol, max_iter)
+    coef, iterations, norms = _bt_newton(home, away, margin > 0, decisive, seen,
+                                         n_teams, penalty, tol, max_iter)
     norms[no_decisive] = np.nan
     return coef, iterations, norms
 

@@ -50,7 +50,7 @@ def fmt6(x: float) -> str:
 
 
 def _json_num(x: float):
-    if x is None or not math.isfinite(x):
+    if not math.isfinite(x):
         return None
     return float(fmt6(x))
 
@@ -113,17 +113,11 @@ def _commit(files, manifest=None, inputs=(), **extra) -> None:
             tmp.unlink(missing_ok=True)
 
 
-# The curve columns are CurveRow's fields, in order. A field of each type
-# is written to CSV and to JSON as below, and read back by calling its type
-# on the CSV text, or from a JSON value that already has that type.
+# The curve columns are CurveRow's fields, in order. A field is read back
+# by calling its type on the CSV text, or from a JSON value that already
+# has that type.
 _CURVE_FIELDS = tuple(typing.get_type_hints(CurveRow).items())
 CURVE_COLUMNS = tuple(name for name, _ in _CURVE_FIELDS)
-_TO_CSV = {str: str, float: fmt6, int: str}
-_TO_JSON = {str: str, float: _json_num, int: int}
-
-
-def _encode(row: CurveRow, writers: dict) -> list:
-    return [writers[kind](getattr(row, name)) for name, kind in _CURVE_FIELDS]
 
 
 def _from_csv(kind, text):
@@ -162,8 +156,6 @@ def _parse_x_grid(raw: str | None) -> tuple[float, ...]:
         grid = tuple(float(part) for part in raw.split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"bad x-grid {raw!r}; expected comma-separated fractions") from None
-    if not grid:
-        raise ConfigError("x-grid is empty")
     printed = {}
     for f in grid:  # two that print alike would write rows no reader can tell apart
         if printed.setdefault(fmt6(f), f) != f:
@@ -221,9 +213,9 @@ def cmd_curve(args) -> int:
 def curve_text(path, rows) -> str:
     """Curve rows as JSON text if ``path`` ends in .json, else as CSV text."""
     if Path(path).suffix == ".json":
-        return _json_text({"curves": [dict(zip(CURVE_COLUMNS, _encode(row, _TO_JSON)))
-                                      for row in rows]})
-    return _csv_text(CURVE_COLUMNS, (_encode(row, _TO_CSV) for row in rows))
+        return _json_text({"curves": [_json_value(dataclasses.asdict(row)) for row in rows]})
+    return _csv_text(CURVE_COLUMNS, ([v if isinstance(v, str) else fmt6(v)
+                                      for v in dataclasses.astuple(row)] for row in rows))
 
 
 def read_curve_file(path, data: bytes | None = None) -> list[CurveRow]:
@@ -364,7 +356,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    for path, _, season in _load_seasons(args.inputs, League(args.league)):
+    for path, _, season in _load_seasons(args.inputs, League.OTHER):
         s = summarize_season(season)
         print(
             f"{path}: {s.n_games} games, {s.n_teams} teams, "
@@ -382,11 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"seasoninfo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    leagues = [l.value for l in League]
-
     p = sub.add_parser("curve", help="run the train/test protocol on season CSVs")
     p.add_argument("inputs", nargs="+", metavar="SEASON_CSV")
-    p.add_argument("--league", required=True, choices=leagues)
+    p.add_argument("--league", required=True, choices=[l.value for l in League])
     p.add_argument("--out", required=True, help="output table (.csv or .json)")
     p.add_argument("--x-grid", default=None,
                    help="comma-separated training fractions (default 0.125..0.875)")
@@ -417,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="parse season CSVs and report basic stats")
     p.add_argument("inputs", nargs="+", metavar="SEASON_CSV")
-    p.add_argument("--league", default="OTHER", choices=leagues)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -54,10 +54,6 @@ class Game:
         """Signed home margin of victory; 0 is a tie."""
         return self.home_score - self.away_score
 
-    @property
-    def home_win(self) -> int:
-        return 1 if self.margin > 0 else 0
-
 
 @dataclass(frozen=True)
 class Season:
@@ -131,11 +127,12 @@ def encode_rows(rows, teams: Sequence[str]):
 def parse_season(source, league: League, season_label: str) -> Season:
     """Parse canonical CSV from bytes or a binary stream into a Season.
 
-    Raises ParseError naming the offending 1-based line for malformed
-    rows (wrong column count, bad date, non-integer score, a score above
-    MAX_SCORE, home == away) and for text the csv module refuses (such as
-    a field longer than ``csv.field_size_limit()``), and for files with
-    no data rows. The season's ``teams`` are collected during the scan.
+    Raises ParseError naming the 1-based physical line on which the row
+    ends for malformed rows (wrong column count, bad date, non-integer
+    score, a score above MAX_SCORE, home == away) and for text the csv
+    module refuses (such as a field longer than ``csv.field_size_limit()``),
+    and for files with no data rows. The season's ``teams`` are collected
+    during the scan.
     """
     if isinstance(source, (bytes, bytearray)):
         raw = bytes(source)
@@ -158,7 +155,8 @@ def parse_season(source, league: League, season_label: str) -> Season:
             raise ParseError(
                 f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}", line=1
             )
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num  # a quoted field may span lines
             if not row:
                 continue  # ignore a trailing blank line
             if len(row) != 5:

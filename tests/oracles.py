@@ -195,7 +195,8 @@ def reference_parse_season(raw: bytes, league, season_label: str) -> Season:
         )
 
     rows = []
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
+        line_no = reader.line_num
         if not row:
             continue  # ignore a trailing blank line
         if len(row) != 5:

@@ -177,6 +177,68 @@ def test_curve_rows_round_trip_through_csv_and_json(tmp_path):
                 == [f.type for f in dataclasses.fields(row)]
 
 
+def test_curve_text_renders_failures_zero_sds_and_non_finite_means():
+    """Cells the pinned digests never hold: failure counts, one with more
+    digits than fmt6 keeps for a float; an sd of exactly 0; and NaN and
+    infinite means, which CSV writes as text and JSON as null."""
+    nan, inf = float("nan"), float("inf")
+    rows = [CurveRow("NFL", "2012", 0.5, 8.0, 0.625, 0.0, 0.6, 0.0, 0.5625, bt_failures=3),
+            CurveRow("NHL", "s,1", 0.125, 10.25, nan, nan, 0.55, 0.0123456789, 0.5,
+                     bt_failures=1000000),
+            CurveRow("MLB", "x", 0.875, 141.75, 0.6, 1e-7, inf, 0.0, 0.5, mov_failures=2)]
+    assert curve_text("c.csv", rows) == (
+        "league,season,fraction,games_per_team,mean_bt_acc,sd_bt_acc,mean_mov_acc,"
+        "sd_mov_acc,baseline_acc,bt_failures,mov_failures\n"
+        "NFL,2012,0.5,8,0.625,0,0.6,0,0.5625,3,0\n"
+        'NHL,"s,1",0.125,10.25,nan,nan,0.55,0.0123457,0.5,1000000,0\n'
+        "MLB,x,0.875,141.75,0.6,1e-07,inf,0,0.5,0,2\n")
+    assert curve_text("c.json", rows) == """\
+{
+  "curves": [
+    {
+      "baseline_acc": 0.5625,
+      "bt_failures": 3,
+      "fraction": 0.5,
+      "games_per_team": 8.0,
+      "league": "NFL",
+      "mean_bt_acc": 0.625,
+      "mean_mov_acc": 0.6,
+      "mov_failures": 0,
+      "sd_bt_acc": 0.0,
+      "sd_mov_acc": 0.0,
+      "season": "2012"
+    },
+    {
+      "baseline_acc": 0.5,
+      "bt_failures": 1000000,
+      "fraction": 0.125,
+      "games_per_team": 10.25,
+      "league": "NHL",
+      "mean_bt_acc": null,
+      "mean_mov_acc": 0.55,
+      "mov_failures": 0,
+      "sd_bt_acc": null,
+      "sd_mov_acc": 0.0123457,
+      "season": "s,1"
+    },
+    {
+      "baseline_acc": 0.5,
+      "bt_failures": 0,
+      "fraction": 0.875,
+      "games_per_team": 141.75,
+      "league": "MLB",
+      "mean_bt_acc": 0.6,
+      "mean_mov_acc": null,
+      "mov_failures": 2,
+      "sd_bt_acc": 1e-07,
+      "sd_mov_acc": 0.0,
+      "season": "x"
+    }
+  ]
+}
+"""
+
+
 def test_synth_round_trips_and_is_deterministic(tmp_path):
     out1 = tmp_path / "s1.csv"
     out2 = tmp_path / "s2.csv"

@@ -330,11 +330,18 @@ def test_chunked_fits_match_one_replicate_fits(name):
 @pytest.mark.parametrize("penalty,n_teams,h,a,margin", [
     (1e-20, 3, [0, 1, 2, 1, 2, 2, 2], [1, 0, 0, 0, 0, 1, 1], [-50, 48, -53, 43, -39, -104, -103]),
     (1e-20, 4, [1, 2, 2, 3, 1, 3, 1, 2], [2, 1, 0, 1, 2, 2, 0, 0],
-     [92, -104, -143, -45, 92, 38, -51, -153])])
+     [92, -104, -143, -45, 92, 38, -51, -153]),
+    # separable rows just above the floor eps * (m + 1), m = 6 games
+    (2 * np.finfo(float).eps * 7, 3, [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1],
+     [3, 5, -2, 1, -4, -1]),
+    (2 * np.finfo(float).eps * 7, 4, [0, 1, 2, 3, 0, 1], [1, 2, 3, 0, 2, 3],
+     [1, 1, 1, -1, 2, 2])])
 def test_overflowing_steps_leave_no_warning(penalty, n_teams, h, a, margin):
     """Replicates from small seasons whose Newton systems LU would solve
     with near-zero pivots, stepping along the strengths' constant direction
-    towards overflow. Below the floor the steps are least-norm: the fit
+    towards overflow. Below the floor the steps are least-norm. Just above
+    it LU solves with the smallest penalty it takes, and separable rows
+    drive every game's Hessian weight towards 0. Either way the fit
     converges, finite, with no floating-point warning."""
     coef, _, gnorm = fit_bt_batch(*(np.array([col]) for col in (h, a, margin)), n_teams, penalty)
     assert np.isfinite(coef).all() and np.isfinite(gnorm).all()

@@ -30,7 +30,6 @@ def game_encoding(games, teams):
 def test_parse_patriots_texans_row():
     season = parse(CANONICAL + "2012-12-10,NE,HOU,42,14\n")
     g = season.games[0]
-    assert g.home_win == 1
     assert g.margin == 28
     assert g.date == dt.date(2012, 12, 10)
 
@@ -38,7 +37,6 @@ def test_parse_patriots_texans_row():
 def test_parse_tie_row():
     season = parse(CANONICAL + "2012-11-11,STL,SF,24,24\n")
     g = season.games[0]
-    assert g.home_win == 0
     assert g.margin == 0
 
 
@@ -76,6 +74,16 @@ def test_a_field_past_the_csv_size_limit_names_its_line():
     with pytest.raises(ParseError) as err:
         parse(f"date,{long_id},away,home_score,away_score\n2012-09-09,GB,CHI,23,10\n")
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("row", ["2012-01-02,A,B,x,0", "2012-01-02," + "T" * 200_000 + ",B,1,0"],
+                         ids=["bad_score", "field_past_the_csv_limit"])
+def test_errors_after_a_field_with_a_newline_name_the_physical_line(row):
+    """A quoted field may hold a newline, so a row's line is not its record
+    number: the bad row here is on physical line 4, the third record."""
+    with pytest.raises(ParseError) as err:
+        parse(CANONICAL + '2012-01-01,"New\nYork",B,1,0\n' + row + "\n")
+    assert err.value.line == 4 and "line 4" in str(err.value)
 
 
 def test_parse_accepts_the_largest_int64_score():
@@ -221,7 +229,6 @@ def test_parser_matches_the_reference_row_loop(text):
 def test_win_indicator_follows_margin_sign(hs, as_):
     g = make_game(1, "A", "B", hs, as_)
     assert g.margin == hs - as_
-    assert g.home_win == (1 if g.margin > 0 else 0)
 
 
 def test_summary_counts():

@@ -84,7 +84,7 @@ def test_no_signal_league_has_half_home_wins():
                      strength_sd=0.0, mov_scale=20.0, mov_noise_sd=40.0)
     season, _ = generate_season(spec)
     assert len(season.games) == 10_000
-    frac = sum(g.home_win for g in season.games) / len(season.games)
+    frac = sum(g.margin > 0 for g in season.games) / len(season.games)
     assert abs(frac - 0.5) <= 3 * math.sqrt(0.25 / 10_000)
 
 
@@ -96,7 +96,7 @@ def test_home_advantage_matches_closed_form_probability():
     teams = sorted(season.teams)
     p_win, _, _ = outcome_probabilities(truth, teams[0], teams[1])
     assert p_win == pytest.approx(0.6, abs=0.02)
-    frac = sum(g.home_win for g in season.games) / len(season.games)
+    frac = sum(g.margin > 0 for g in season.games) / len(season.games)
     assert abs(frac - p_win) <= 3 * math.sqrt(p_win * (1 - p_win) / len(season.games))
 
 
