@@ -104,19 +104,30 @@ def train_size(fraction: float, n_games: int) -> int:
     return m
 
 
-def _split_indices(n_games: int, config: ProtocolConfig, fraction: float, replicates):
-    """Train and test game indices, ascending, one row per listed replicate."""
+def _train_mask(n_games: int, config: ProtocolConfig, fraction: float, replicates):
+    """(replicates, n_games) mask of each listed replicate's train games: the
+    first train_size games of its seeded permutation. It depends on the
+    season only through n_games, so seasons of one length share it."""
     m = train_size(fraction, n_games)
-    chosen = np.zeros((len(replicates), n_games), dtype=bool)  # the unit's train games
+    chosen = np.zeros((len(replicates), n_games), dtype=bool)
     for row, k in zip(chosen, replicates):
         row[np.random.default_rng(split_seed(config.master_seed, fraction, k))
             .permutation(n_games)[:m]] = True
-    offsets = (np.arange(len(chosen)) * n_games)[:, None]  # row k's flat index starts
-    train = np.flatnonzero(chosen).reshape(len(chosen), m)
-    train -= offsets
-    test = np.flatnonzero(np.logical_not(chosen, out=chosen)).reshape(len(chosen), n_games - m)
-    test -= offsets
-    return train, test
+    return chosen
+
+
+def _marked(chosen, per_row: int):
+    """Column indices, ascending, of each row's ``per_row`` True entries."""
+    idx = np.flatnonzero(chosen).reshape(len(chosen), per_row)
+    idx -= (np.arange(len(chosen)) * chosen.shape[1])[:, None]  # row k's flat index start
+    return idx
+
+
+def _split_indices(n_games: int, config: ProtocolConfig, fraction: float, replicates):
+    """Train and test game indices, ascending, one row per listed replicate."""
+    m = train_size(fraction, n_games)
+    chosen = _train_mask(n_games, config, fraction, replicates)
+    return _marked(chosen, m), _marked(np.logical_not(chosen, out=chosen), n_games - m)
 
 
 def make_split(season: Season, config: ProtocolConfig, fraction: float,
@@ -141,13 +152,23 @@ def evaluate_chunk(columns, n_teams: int, config: ProtocolConfig, fraction: floa
     """BT accuracy (None if its fit failed), MOV accuracy and home-pick
     baseline of each listed replicate of one fraction, fitted together and
     each exactly as alone; ``columns`` encode the season (``Season.columns``)."""
-    train_idx, test_idx = _split_indices(len(columns[2]), config, fraction, replicates)
+    return _evaluate_split(columns, n_teams, config, fraction,
+                           _train_mask(len(columns[2]), config, fraction, replicates))
+
+
+def _evaluate_split(columns, n_teams: int, config: ProtocolConfig, fraction: float,
+                    chosen) -> list[tuple[float | None, float, float]]:
+    """``evaluate_chunk``'s results for the replicates whose train games the
+    rows of ``chosen`` mark (``_train_mask``), which it leaves unchanged."""
+    m = train_size(fraction, len(columns[2]))
+    train_idx = _marked(chosen, m)
     train = [col[train_idx] for col in columns]
     del train_idx
     mov = fit_mov_batch(*train, n_teams, penalty=config.mov_penalty)
     bt, _, gnorm = fit_bt_batch(*train, n_teams, penalty=config.bt_penalty,
                                 tol=config.bt_tol, max_iter=config.bt_max_iter)
     del train  # the test games are gathered only once the fits are done
+    test_idx = _marked(~chosen, len(columns[2]) - m)
     home, away, margin = (col[test_idx] for col in columns)
     del test_idx
     off = (np.arange(len(margin)) * (n_teams + 1))[:, None]
@@ -187,10 +208,19 @@ def _evaluate_share(send, states, config, share) -> None:
     send.close()
 
 
-def _evaluate_units(states, config, units) -> list:
-    """``evaluate_chunk``'s results for each ((season, fraction), replicates)
-    unit; ``states`` holds each season's (columns, n_teams)."""
-    return [evaluate_chunk(*states[s], config, f, ks) for (s, f), ks in units]
+def _evaluate_units(states, config, groups) -> list:
+    """For each ((seasons, fraction), replicates) group, ``evaluate_chunk``'s
+    results for each of its seasons; ``states`` holds each season's
+    (columns, n_teams)."""
+    return [_evaluate_group(states, config, ss, f, ks) for (ss, f), ks in groups]
+
+
+def _evaluate_group(states, config, seasons, fraction, replicates) -> list:
+    """``evaluate_chunk``'s results for each of ``seasons``, all of one
+    length, from one draw of their shared train mask, which lives only
+    while the group runs."""
+    chosen = _train_mask(len(states[seasons[0]][0][2]), config, fraction, replicates)
+    return [_evaluate_split(*states[s], config, fraction, chosen) for s in seasons]
 
 
 def _narrow(col):
@@ -220,13 +250,16 @@ def run_seasons(seasons, config: ProtocolConfig, jobs: int = 1,
     """``run_protocol``'s points for each of ``seasons``, from one schedule
     of workers for them all.
 
-    The work units of every season are dealt into fixed interleaved shares,
-    one per worker. Workers number at most ``jobs``, the usable CPUs and
-    the units, and one per two UNIT_BYTES of the call's work. The caller
-    evaluates the first share and a helper process each other one. Results
-    are reduced by (season, fraction, replicate) key and are bit-identical
-    for any job count. If ``schedule`` is a dict, it gets the ``workers``
-    used and the ``units`` evaluated.
+    A work unit's split depends on its season only through the game count,
+    so the units of every season are grouped by split key (games, fraction,
+    replicates), and whole groups are dealt into fixed interleaved shares,
+    one per worker. A worker draws each group's train mask once and
+    evaluates every season of the group on it. Workers number at most
+    ``jobs``, the usable CPUs and the groups, and one per two UNIT_BYTES of
+    the call's work. The caller evaluates the first share and a helper
+    process each other one. Results are reduced by (season, fraction,
+    replicate) key and are bit-identical for any job count. If ``schedule``
+    is a dict, it gets the ``workers`` used and the ``units`` evaluated.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -241,11 +274,14 @@ def run_seasons(seasons, config: ProtocolConfig, jobs: int = 1,
     # for every two full units of work.
     jobs = min(jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1, max(1, call_bytes // (2 * UNIT_BYTES)))
-    tasks = [((s, f), ks) for s, season in enumerate(seasons)
-             for f, ks in _chunks(config, len(season.rows), len(season.teams), jobs)]
+    groups = {}  # split key -> the seasons whose units share it, in order of first use
+    for s, season in enumerate(seasons):
+        for f, ks in _chunks(config, len(season.rows), len(season.teams), jobs):
+            groups.setdefault((len(season.rows), f, ks), []).append(s)
+    tasks = [((tuple(ss), f), ks) for (_, f, ks), ss in groups.items()]
     workers = max(1, min(jobs, len(tasks)))  # no task only for no season
     if schedule is not None:
-        schedule.update(workers=workers, units=len(tasks))
+        schedule.update(workers=workers, units=sum(map(len, groups.values())))
     shares = [tasks[i::workers] for i in range(workers)]
     helpers = []  # (process, read end of its pipe)
     read = 0  # helpers whose pipe has been read
@@ -276,7 +312,8 @@ def run_seasons(seasons, config: ProtocolConfig, jobs: int = 1,
             recv.close()
             helper.join()
     results = {(s, f, k): cell for share, got in zip(shares, chunks)
-               for ((s, f), ks), chunk in zip(share, got) for k, cell in zip(ks, chunk)}
+               for ((ss, f), ks), group in zip(share, got)
+               for s, chunk in zip(ss, group) for k, cell in zip(ks, chunk)}
     return [[_point(season, f, [results[s, f, k] for k in range(config.replicates)])
              for f in config.x_grid] for s, season in enumerate(seasons)]
 

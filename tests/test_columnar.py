@@ -461,34 +461,45 @@ def test_unit_size_and_jobs_leave_curves_unchanged(monkeypatch, name):
     assert runs == [runs[0]] * len(runs)
 
 
-def _shaped_season(n_teams, games_per_team):
-    spec = SynthSpec(n_teams=n_teams, games_per_team=games_per_team, seed=games_per_team,
+def _shaped_season(n_teams, games_per_team, k=0):
+    spec = SynthSpec(n_teams=n_teams, games_per_team=games_per_team, seed=games_per_team + k,
                      home_adv=0.2, strength_sd=0.4, mov_scale=4.0, mov_noise_sd=8.0)
     return generate_season(spec)[0]
+
+
+def _peak(run):
+    """``run()``'s tracemalloc peak, after one untraced call for numpy's
+    first-call set-up."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("n_teams,games_per_team", [(30, 162), (30, 82), (32, 16), (64, 32)])
 def test_unit_peak_stays_within_the_byte_budget(n_teams, games_per_team):
     """A work unit's tracemalloc peak per replicate stays under the measured
     ceiling the unit size is chosen by, on MLB-, NBA- and NFL-shaped
-    seasons and on a 64-team one, where the (teams + 1)^2 systems dominate."""
-    season = _shaped_season(n_teams, games_per_team)
-    n_games = len(season.games)
-    columns = tuple(map(_narrow, season.columns))
+    seasons and on a 64-team one, where the (teams + 1)^2 systems dominate.
+    So does a group of three seasons of one shape, evaluated one after
+    another on one shared train mask (one byte per game and replicate)."""
+    states = [(tuple(map(_narrow, season.columns)), n_teams)
+              for season in (_shaped_season(n_teams, games_per_team, k) for k in range(3))]
+    columns = states[0][0]
+    n_games = len(columns[2])
     config = ProtocolConfig()
     units = _chunks(config, n_games, n_teams, jobs=1)
     size = len(units[0][1])
     ceiling = harness.GAME_BYTES * n_games + harness.TEAM_BYTES * (n_teams + 1) ** 2
     assert size * ceiling <= harness.UNIT_BYTES
     for f in config.x_grid:
-        evaluate_chunk(columns, n_teams, config, f, range(size))  # numpy's first-call set-up
-        tracemalloc.start()
-        try:
-            evaluate_chunk(columns, n_teams, config, f, range(size))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _peak(lambda: evaluate_chunk(columns, n_teams, config, f, range(size)))
         assert peak <= size * ceiling, (f, size, peak / size, ceiling)
+        peak = _peak(lambda: harness._evaluate_group(states, config, (0, 1, 2), f, range(size)))
+        assert peak <= size * ceiling, ("group", f, size, peak / size, ceiling)
 
 
 @pytest.mark.parametrize("n_teams,games_per_team,jobs,size", [

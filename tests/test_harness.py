@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import contextlib
 import multiprocessing
 import os
@@ -251,8 +252,45 @@ def test_a_call_of_many_seasons_starts_its_helpers_once(monkeypatch, tmp_path):
     assert (tmp_path / "jobs2.csv").read_bytes() == (tmp_path / "jobs1.csv").read_bytes()
 
 
+def _synth_season(n_teams, games_per_team, seed):
+    return generate_season(SynthSpec(n_teams=n_teams, games_per_team=games_per_team, seed=seed,
+                                     strength_sd=1.0))[0]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_seasons_of_one_length_draw_each_split_once(monkeypatch, jobs):
+    """A split depends on its season only through the game count, so
+    ``run_seasons`` draws each (games, fraction, replicates) train mask
+    once, evaluates every season of that length and those units on it, and
+    returns the points of separate ``run_protocol`` calls."""
+    seasons = [_synth_season(32, 16, seed) for seed in (1, 2, 3)]  # 256 games each
+    seasons.append(_synth_season(25, 20, 4))  # 250 games
+    seasons.append(_synth_season(16, 32, 5))  # 256 games, in units of other replicates
+    config = ProtocolConfig(x_grid=(0.25, 0.5), replicates=12, master_seed=5)
+    alone = [repr(run_protocol(season, config)) for season in seasons]
+    # Units of 3 replicates for the 16-team season and of 2 for the others.
+    monkeypatch.setattr(harness, "UNIT_BYTES", 2 * harness._replicate_bytes(256, 32))
+    usable_cpus(monkeypatch, 2)
+    shares = record_helpers(monkeypatch)
+    drawn = collections.Counter()
+    seed = harness.split_seed
+
+    def counted(master_seed, fraction, replicate):
+        drawn[fraction, replicate] += 1
+        return seed(master_seed, fraction, replicate)
+
+    monkeypatch.setattr(harness, "split_seed", counted)
+    assert [repr(points) for points in harness.run_seasons(seasons, config, jobs)] == alone
+    # one draw for the three 32-team seasons, one for the 250-game season and
+    # one for the 16-team season's units
+    assert drawn == {(f, k): 3 for f in config.x_grid for k in range(config.replicates)}
+    assert len(shares) == jobs - 1
+    for share in shares:  # a helper gets whole groups
+        assert {seasons for (seasons, _), _ in share} == {(0, 1, 2), (3,), (4,)}
+
+
 needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                                reason="the patched evaluate_chunk reaches helpers through fork")
+                                reason="the patched _evaluate_split reaches helpers through fork")
 
 
 @contextlib.contextmanager
@@ -272,15 +310,16 @@ def within(seconds: int):
 
 @pytest.fixture
 def helper_run(monkeypatch, small_league):
-    """Run ``run_protocol`` with one real helper, ``evaluate_chunk`` replaced
-    by ``in_helper`` in the helper and by ``in_caller`` in this process.
+    """Run ``run_protocol`` with one real helper, ``_evaluate_split`` (one
+    season's units of a group) replaced by ``in_helper`` in the helper and
+    by ``in_caller`` in this process.
     Any process a failing run leaves behind is stopped afterwards."""
     season, _ = small_league
     config = ProtocolConfig(x_grid=(0.5,), replicates=12, master_seed=11)
     caller = os.getpid()
 
-    def run(in_helper, in_caller=harness.evaluate_chunk):
-        monkeypatch.setattr(harness, "evaluate_chunk", lambda *args: (
+    def run(in_helper, in_caller=harness._evaluate_split):
+        monkeypatch.setattr(harness, "_evaluate_split", lambda *args: (
             in_caller if os.getpid() == caller else in_helper)(*args))
         with within(60):
             return run_protocol(season, config, jobs=2)
