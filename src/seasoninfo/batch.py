@@ -239,7 +239,7 @@ def fit_mov_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PEN
     hk, ak = home + block, away + block  # row block + team
     g = np.bincount(hk.ravel(), margin.ravel(), count * k).reshape(count, k)
     g -= np.bincount(ak.ravel(), margin.ravel(), count * k).reshape(count, k)
-    g[:, n_teams] = margin.sum(axis=1)
+    g[:, n_teams] = margin.sum(axis=1, dtype=float)  # int64 sums wrap
     hk *= k
     hk += ak - block
     pairs = np.bincount(hk.ravel(), minlength=count * k * k).reshape(count, k, k)

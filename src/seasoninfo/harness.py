@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import struct
 from dataclasses import dataclass
+from itertools import compress
 from typing import ClassVar
 
 import numpy as np
@@ -123,18 +124,11 @@ def _marked(chosen, per_row: int):
     return idx
 
 
-def _split_indices(n_games: int, config: ProtocolConfig, fraction: float, replicates):
-    """Train and test game indices, ascending, one row per listed replicate."""
-    m = train_size(fraction, n_games)
-    chosen = _train_mask(n_games, config, fraction, replicates)
-    return _marked(chosen, m), _marked(np.logical_not(chosen, out=chosen), n_games - m)
-
-
 def make_split(season: Season, config: ProtocolConfig, fraction: float,
                replicate: int) -> Split:
-    train, test = _split_indices(len(season.rows), config, fraction, [replicate])
-    return Split(train=tuple(season.games[i] for i in train[0].tolist()),
-                 test=tuple(season.games[i] for i in test[0].tolist()),
+    (chosen,) = _train_mask(len(season.rows), config, fraction, [replicate]).tolist()
+    return Split(train=tuple(compress(season.games, chosen)),
+                 test=tuple(compress(season.games, (not train for train in chosen))),
                  fraction=fraction, replicate_index=replicate,
                  seed=split_seed(config.master_seed, fraction, replicate))
 
@@ -147,19 +141,13 @@ def home_baseline(test) -> float:
     return score(True, [g.margin for g in games])
 
 
-def evaluate_chunk(columns, n_teams: int, config: ProtocolConfig, fraction: float,
-                   replicates) -> list[tuple[float | None, float, float]]:
-    """BT accuracy (None if its fit failed), MOV accuracy and home-pick
-    baseline of each listed replicate of one fraction, fitted together and
-    each exactly as alone; ``columns`` encode the season (``Season.columns``)."""
-    return _evaluate_split(columns, n_teams, config, fraction,
-                           _train_mask(len(columns[2]), config, fraction, replicates))
-
-
 def _evaluate_split(columns, n_teams: int, config: ProtocolConfig, fraction: float,
                     chosen) -> list[tuple[float | None, float, float]]:
-    """``evaluate_chunk``'s results for the replicates whose train games the
-    rows of ``chosen`` mark (``_train_mask``), which it leaves unchanged."""
+    """BT accuracy (None if its fit failed), MOV accuracy and home-pick
+    baseline of each replicate of one fraction whose train games a row of
+    ``chosen`` marks (``_train_mask``), fitted together and each exactly as
+    alone; ``columns`` encode the season (``Season.columns``), and
+    ``chosen`` is left unchanged."""
     m = train_size(fraction, len(columns[2]))
     train_idx = _marked(chosen, m)
     train = [col[train_idx] for col in columns]
@@ -186,10 +174,11 @@ def _replicate_bytes(n_games: int, n_teams: int) -> int:
 
 def _chunks(config: ProtocolConfig, n_games: int, n_teams: int,
             jobs: int) -> list[tuple[float, range]]:
-    """(fraction, replicates) work units of one season for ``jobs`` workers.
-    A unit holds as many replicates as fit in UNIT_BYTES; with workers, each
-    fraction splits into at least two units per worker so that a
-    one-fraction call keeps them all busy."""
+    """(fraction, replicates) work units of seasons of ``n_games`` games and
+    at most ``n_teams`` teams for ``jobs`` workers. A unit holds as many
+    replicates as fit in UNIT_BYTES; with workers, each fraction splits into
+    at least two units per worker so that a one-fraction call keeps them all
+    busy."""
     size = max(1, UNIT_BYTES // _replicate_bytes(n_games, n_teams))
     if jobs > 1:
         size = min(size, -(-config.replicates // (2 * jobs)))
@@ -209,14 +198,14 @@ def _evaluate_share(send, states, config, share) -> None:
 
 
 def _evaluate_units(states, config, groups) -> list:
-    """For each ((seasons, fraction), replicates) group, ``evaluate_chunk``'s
+    """For each ((seasons, fraction), replicates) group, ``_evaluate_split``'s
     results for each of its seasons; ``states`` holds each season's
     (columns, n_teams)."""
     return [_evaluate_group(states, config, ss, f, ks) for (ss, f), ks in groups]
 
 
 def _evaluate_group(states, config, seasons, fraction, replicates) -> list:
-    """``evaluate_chunk``'s results for each of ``seasons``, all of one
+    """``_evaluate_split``'s results for each of ``seasons``, all of one
     length, from one draw of their shared train mask, which lives only
     while the group runs."""
     chosen = _train_mask(len(states[seasons[0]][0][2]), config, fraction, replicates)
@@ -251,9 +240,10 @@ def run_seasons(seasons, config: ProtocolConfig, jobs: int = 1,
     of workers for them all.
 
     A work unit's split depends on its season only through the game count,
-    so the units of every season are grouped by split key (games, fraction,
-    replicates), and whole groups are dealt into fixed interleaved shares,
-    one per worker. A worker draws each group's train mask once and
+    so units are cut once per season length, sized for that length's largest
+    team count, and each (fraction, replicates) unit of a length is a group
+    holding all its seasons. Whole groups are dealt into fixed interleaved
+    shares, one per worker. A worker draws each group's train mask once and
     evaluates every season of the group on it. Workers number at most
     ``jobs``, the usable CPUs and the groups, and one per two UNIT_BYTES of
     the call's work. The caller evaluates the first share and a helper
@@ -274,14 +264,14 @@ def run_seasons(seasons, config: ProtocolConfig, jobs: int = 1,
     # for every two full units of work.
     jobs = min(jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1, max(1, call_bytes // (2 * UNIT_BYTES)))
-    groups = {}  # split key -> the seasons whose units share it, in order of first use
+    lengths = {}  # game count -> its seasons, in order of first use
     for s, season in enumerate(seasons):
-        for f, ks in _chunks(config, len(season.rows), len(season.teams), jobs):
-            groups.setdefault((len(season.rows), f, ks), []).append(s)
-    tasks = [((tuple(ss), f), ks) for (_, f, ks), ss in groups.items()]
+        lengths.setdefault(len(season.rows), []).append(s)
+    tasks = [((tuple(ss), f), ks) for n, ss in lengths.items()
+             for f, ks in _chunks(config, n, max(states[s][1] for s in ss), jobs)]
     workers = max(1, min(jobs, len(tasks)))  # no task only for no season
     if schedule is not None:
-        schedule.update(workers=workers, units=sum(map(len, groups.values())))
+        schedule.update(workers=workers, units=sum(len(ss) for (ss, _), _ in tasks))
     shares = [tasks[i::workers] for i in range(workers)]
     helpers = []  # (process, read end of its pipe)
     read = 0  # helpers whose pipe has been read

@@ -44,8 +44,8 @@ from seasoninfo import (
     run_protocol,
 )
 from seasoninfo import batch, harness
-from seasoninfo.harness import (_chunks, _narrow, _split_indices, evaluate_chunk, split_seed,
-                                train_size)
+from seasoninfo.harness import (_chunks, _evaluate_group, _evaluate_split, _marked, _narrow,
+                                _train_mask, split_seed, train_size)
 from seasoninfo.batch import _bt_hessian, fit_bt_batch, fit_mov_batch
 from seasoninfo.models import (
     bt_predicts_home_win,
@@ -125,7 +125,8 @@ def test_every_cell_matches_the_scalar_path(name):
         chunked = {}
         for lo in range(0, config.replicates, 7):
             ks = range(lo, min(lo + 7, config.replicates))
-            chunked.update(zip(ks, evaluate_chunk(columns, len(season.teams), config, f, ks)))
+            chosen = _train_mask(len(season.games), config, f, ks)
+            chunked.update(zip(ks, _evaluate_split(columns, len(season.teams), config, f, chosen)))
         for k in range(config.replicates):
             got = chunked[k]
             want = scalar_cell(season, config, f, k)
@@ -282,8 +283,7 @@ def test_mov_fit_at_penalty_0_on_an_nfl_shaped_split():
                                        home_adv=0.28, strength_sd=1.05, mov_scale=6.0,
                                        mov_noise_sd=13.0))[0]
     config = ProtocolConfig(master_seed=1, mov_penalty=0.0)
-    train, _ = _split_indices(len(season.games), config, 0.125, range(100))
-    rows = [col[train] for col in season.columns]
+    rows = _train_rows(season, config, 0.125)
     _assert_least_squares_fit(*(col[76] for col in rows), len(season.teams))
     together = fit_mov_batch(*rows, len(season.teams), 0.0)
     for k in (0, 76, 99):  # row by row, whatever the other rows
@@ -291,9 +291,24 @@ def test_mov_fit_at_penalty_0_on_an_nfl_shaped_split():
         assert together[k].tobytes() == alone[0].tobytes()
 
 
+def test_mov_fit_sums_huge_margins_without_wrapping():
+    """The margin fit sums the train margins for its home-advantage entry
+    in float: an int64 sum of margins near MAX_SCORE wraps. 20 games
+    alternating home A and B, each won 2**62-0 at home, plus 1-0 home wins
+    A-B, B-C, C-A and A-C: from 0.25 on, every train set's home advantage
+    dwarfs the strengths, so the margin model picks the home team and is
+    right in every test game."""
+    games = [game_from_margin(i, "AB"[i % 2], "BA"[i % 2], 2**62) for i in range(20)]
+    games += [game_from_margin(20 + i, h, a, 1) for i, (h, a) in enumerate(["AB", "BC", "CA", "AC"])]
+    points = run_protocol(season_of(games), ProtocolConfig(replicates=5))
+    assert [(pt.fraction, pt.mean_mov_acc) for pt in points if pt.fraction >= 0.25] == [
+        (f, 1.0) for f in ProtocolConfig().x_grid[1:]]
+
+
 def _train_rows(season, config, fraction):
     columns = season.columns
-    train, _ = _split_indices(len(season.games), config, fraction, range(config.replicates))
+    chosen = _train_mask(len(season.games), config, fraction, range(config.replicates))
+    train = _marked(chosen, train_size(fraction, len(season.games)))
     return [col[train] for col in columns]
 
 
@@ -421,11 +436,18 @@ def mask_split(n_games, config, fraction, replicates):
     return games[chosen].reshape(len(chosen), m), games[~chosen].reshape(len(chosen), -1)
 
 
+def split_indices(n_games, config, fraction, replicates):
+    """Train and test indices as ``_evaluate_split`` takes them from the mask."""
+    m = train_size(fraction, n_games)
+    chosen = _train_mask(n_games, config, fraction, replicates)
+    return _marked(chosen, m), _marked(~chosen, n_games - m)
+
+
 def test_split_indices_match_the_mask_construction():
     config = ProtocolConfig(master_seed=31)
     for n_games in (7, 256, 2430):
         for f in config.x_grid:
-            got = _split_indices(n_games, config, f, range(3, 9))
+            got = split_indices(n_games, config, f, range(3, 9))
             want = mask_split(n_games, config, f, range(3, 9))
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (n_games, f)
 
@@ -440,7 +462,7 @@ def test_split_indices_of_odd_units_match_the_mask_construction(n_games, replica
     fractions = [f for f in config.x_grid if 0 < round(f * n_games) < n_games]
     assert fractions
     for f in fractions:
-        got = _split_indices(n_games, config, f, replicates)
+        got = split_indices(n_games, config, f, replicates)
         want = mask_split(n_games, config, f, replicates)
         assert all((g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
                    for g, w in zip(got, want)), (n_games, f)
@@ -485,21 +507,26 @@ def test_unit_peak_stays_within_the_byte_budget(n_teams, games_per_team):
     ceiling the unit size is chosen by, on MLB-, NBA- and NFL-shaped
     seasons and on a 64-team one, where the (teams + 1)^2 systems dominate.
     So does a group of three seasons of one shape, evaluated one after
-    another on one shared train mask (one byte per game and replicate)."""
+    another on one shared train mask (one byte per game and replicate), and
+    a group of one of them with a season of its length and half its teams,
+    as ``run_seasons`` cuts both into units sized for the larger count."""
     states = [(tuple(map(_narrow, season.columns)), n_teams)
               for season in (_shaped_season(n_teams, games_per_team, k) for k in range(3))]
-    columns = states[0][0]
-    n_games = len(columns[2])
+    half = _shaped_season(n_teams // 2, 2 * games_per_team)
+    states.append((tuple(map(_narrow, half.columns)), n_teams // 2))
+    n_games = len(states[0][0][2])
     config = ProtocolConfig()
     units = _chunks(config, n_games, n_teams, jobs=1)
     size = len(units[0][1])
     ceiling = harness.GAME_BYTES * n_games + harness.TEAM_BYTES * (n_teams + 1) ** 2
     assert size * ceiling <= harness.UNIT_BYTES
     for f in config.x_grid:
-        peak = _peak(lambda: evaluate_chunk(columns, n_teams, config, f, range(size)))
+        peak = _peak(lambda: _evaluate_group(states[:1], config, (0,), f, range(size)))
         assert peak <= size * ceiling, (f, size, peak / size, ceiling)
-        peak = _peak(lambda: harness._evaluate_group(states, config, (0, 1, 2), f, range(size)))
+        peak = _peak(lambda: _evaluate_group(states, config, (0, 1, 2), f, range(size)))
         assert peak <= size * ceiling, ("group", f, size, peak / size, ceiling)
+        peak = _peak(lambda: _evaluate_group(states, config, (0, 3), f, range(size)))
+        assert peak <= size * ceiling, ("mixed group", f, size, peak / size, ceiling)
 
 
 @pytest.mark.parametrize("n_teams,games_per_team,jobs,size", [
@@ -686,7 +713,7 @@ def test_criterion_7_seasons_never_read_the_objective(monkeypatch):
         columns = tuple(map(_narrow, season.columns))
         config = ProtocolConfig(replicates=100, master_seed=kw["seed"])
         for f, ks in _chunks(config, n_games, n_teams, jobs=1):
-            evaluate_chunk(columns, n_teams, config, f, ks)
+            _evaluate_group([(columns, n_teams)], config, (0,), f, ks)
     assert calls == []
 
 

@@ -260,15 +260,16 @@ def _synth_season(n_teams, games_per_team, seed):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_seasons_of_one_length_draw_each_split_once(monkeypatch, jobs):
     """A split depends on its season only through the game count, so
-    ``run_seasons`` draws each (games, fraction, replicates) train mask
-    once, evaluates every season of that length and those units on it, and
-    returns the points of separate ``run_protocol`` calls."""
+    ``run_seasons`` cuts one set of units per length, draws each (games,
+    fraction, replicates) train mask once, evaluates every season of that
+    length on it whatever its team count, and returns the points of
+    separate ``run_protocol`` calls."""
     seasons = [_synth_season(32, 16, seed) for seed in (1, 2, 3)]  # 256 games each
     seasons.append(_synth_season(25, 20, 4))  # 250 games
-    seasons.append(_synth_season(16, 32, 5))  # 256 games, in units of other replicates
+    seasons.append(_synth_season(16, 32, 5))  # 256 games, 16 teams
     config = ProtocolConfig(x_grid=(0.25, 0.5), replicates=12, master_seed=5)
     alone = [repr(run_protocol(season, config)) for season in seasons]
-    # Units of 3 replicates for the 16-team season and of 2 for the others.
+    # Units of 2 replicates, the size for 32 teams, for every season.
     monkeypatch.setattr(harness, "UNIT_BYTES", 2 * harness._replicate_bytes(256, 32))
     usable_cpus(monkeypatch, 2)
     shares = record_helpers(monkeypatch)
@@ -280,13 +281,16 @@ def test_seasons_of_one_length_draw_each_split_once(monkeypatch, jobs):
         return seed(master_seed, fraction, replicate)
 
     monkeypatch.setattr(harness, "split_seed", counted)
-    assert [repr(points) for points in harness.run_seasons(seasons, config, jobs)] == alone
-    # one draw for the three 32-team seasons, one for the 250-game season and
-    # one for the 16-team season's units
-    assert drawn == {(f, k): 3 for f in config.x_grid for k in range(config.replicates)}
+    schedule = {}
+    got = harness.run_seasons(seasons, config, jobs, schedule)
+    assert [repr(points) for points in got] == alone
+    # 6 units per fraction and season: the 16-team season's are sized for 32 teams
+    assert schedule["units"] == 2 * 6 * len(seasons)
+    # one draw for the four 256-game seasons and one for the 250-game season
+    assert drawn == {(f, k): 2 for f in config.x_grid for k in range(config.replicates)}
     assert len(shares) == jobs - 1
     for share in shares:  # a helper gets whole groups
-        assert {seasons for (seasons, _), _ in share} == {(0, 1, 2), (3,), (4,)}
+        assert {seasons for (seasons, _), _ in share} == {(0, 1, 2, 4), (3,)}
 
 
 needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
