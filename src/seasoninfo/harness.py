@@ -187,29 +187,28 @@ def _chunks(config: ProtocolConfig, n_games: int, n_teams: int,
 
 
 def _evaluate_share(send, states, config, share) -> None:
-    """Helper process body: evaluate ``share``'s units and send back
-    (True, their results) or (False, the exception), once."""
+    """Helper process body: send back ``_evaluate_units``' cells of
+    ``share``, or the exception raised in their place, once."""
     try:
-        result = True, _evaluate_units(states, config, share)
+        result = _evaluate_units(states, config, share)
     except Exception as exc:  # re-raised by the caller
-        result = False, exc
+        result = exc
     send.send(result)
     send.close()
 
 
-def _evaluate_units(states, config, groups) -> list:
-    """For each ((seasons, fraction), replicates) group, ``_evaluate_split``'s
-    results for each of its seasons; ``states`` holds each season's
-    (columns, n_teams)."""
-    return [_evaluate_group(states, config, ss, f, ks) for (ss, f), ks in groups]
-
-
-def _evaluate_group(states, config, seasons, fraction, replicates) -> list:
-    """``_evaluate_split``'s results for each of ``seasons``, all of one
-    length, from one draw of their shared train mask, which lives only
-    while the group runs."""
-    chosen = _train_mask(len(states[seasons[0]][0][2]), config, fraction, replicates)
-    return [_evaluate_split(*states[s], config, fraction, chosen) for s in seasons]
+def _evaluate_units(states, config, groups) -> dict:
+    """``_evaluate_split``'s cells of each (seasons, fraction, replicates)
+    group, keyed (season, fraction, replicate); ``states`` holds each
+    season's (columns, n_teams). A group's seasons are all of one length and
+    share one draw of its train mask, which lives only while the group runs."""
+    cells = {}
+    for seasons, f, ks in groups:
+        chosen = _train_mask(len(states[seasons[0]][0][2]), config, f, ks)
+        for s in seasons:
+            cells.update(((s, f, k), cell) for k, cell
+                         in zip(ks, _evaluate_split(*states[s], config, f, chosen)))
+    return cells
 
 
 def _narrow(col):
@@ -243,13 +242,13 @@ def run_seasons(seasons, config: ProtocolConfig, jobs: int = 1,
     so units are cut once per season length, sized for that length's largest
     team count, and each (fraction, replicates) unit of a length is a group
     holding all its seasons. Whole groups are dealt into fixed interleaved
-    shares, one per worker. A worker draws each group's train mask once and
-    evaluates every season of the group on it. Workers number at most
-    ``jobs``, the usable CPUs and the groups, and one per two UNIT_BYTES of
-    the call's work. The caller evaluates the first share and a helper
-    process each other one. Results are reduced by (season, fraction,
-    replicate) key and are bit-identical for any job count. If ``schedule``
-    is a dict, it gets the ``workers`` used and the ``units`` evaluated.
+    shares, one per worker, and each share is evaluated by
+    ``_evaluate_units``. Workers number at most ``jobs``, the usable CPUs and
+    the groups, and one per two UNIT_BYTES of the call's work. The caller
+    evaluates the first share and a helper process each other one; it merges
+    every share's cells, keyed (season, fraction, replicate), so results are
+    bit-identical for any job count. If ``schedule`` is a dict, it gets the
+    ``workers`` used and the ``units`` evaluated.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -267,14 +266,13 @@ def run_seasons(seasons, config: ProtocolConfig, jobs: int = 1,
     lengths = {}  # game count -> its seasons, in order of first use
     for s, season in enumerate(seasons):
         lengths.setdefault(len(season.rows), []).append(s)
-    tasks = [((tuple(ss), f), ks) for n, ss in lengths.items()
+    tasks = [(tuple(ss), f, ks) for n, ss in lengths.items()
              for f, ks in _chunks(config, n, max(states[s][1] for s in ss), jobs)]
     workers = max(1, min(jobs, len(tasks)))  # no task only for no season
     if schedule is not None:
-        schedule.update(workers=workers, units=sum(len(ss) for (ss, _), _ in tasks))
+        schedule.update(workers=workers, units=sum(len(ss) for ss, _, _ in tasks))
     shares = [tasks[i::workers] for i in range(workers)]
     helpers = []  # (process, read end of its pipe)
-    read = 0  # helpers whose pipe has been read
     try:
         for share in shares[1:]:
             recv, send = multiprocessing.Pipe(duplex=False)
@@ -283,28 +281,23 @@ def run_seasons(seasons, config: ProtocolConfig, jobs: int = 1,
             helper.start()
             send.close()  # the helper's death then ends the pipe, and no later helper holds it
             helpers.append((helper, recv))
-        chunks = [_evaluate_units(states, config, shares[0])]
+        cells = _evaluate_units(states, config, shares[0])
         for helper, recv in helpers:
             try:
-                ok, got = recv.recv()
+                got = recv.recv()
             except EOFError:
                 helper.join()
                 raise RuntimeError(f"a --jobs helper process exited with code "
                                    f"{helper.exitcode} without sending its results") from None
-            read += 1
-            if not ok:
+            if isinstance(got, Exception):
                 raise got
-            chunks.append(got)
+            cells.update(got)
     finally:
-        for helper, _ in helpers[read:]:
-            helper.terminate()  # it may be blocked sending a result no one will read
         for helper, recv in helpers:
+            helper.terminate()  # one not yet read may be blocked sending; a read one is done
             recv.close()
             helper.join()
-    results = {(s, f, k): cell for share, got in zip(shares, chunks)
-               for ((ss, f), ks), group in zip(share, got)
-               for s, chunk in zip(ss, group) for k, cell in zip(ks, chunk)}
-    return [[_point(season, f, [results[s, f, k] for k in range(config.replicates)])
+    return [[_point(season, f, [cells[s, f, k] for k in range(config.replicates)])
              for f in config.x_grid] for s, season in enumerate(seasons)]
 
 

@@ -12,6 +12,7 @@ import csv
 import datetime as dt
 import enum
 import io
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -164,7 +165,9 @@ def parse_season(source, league: League, season_label: str) -> Season:
             date_s, home, away, hs_s, as_s = map(str.strip, row)
             date = dates.get(date_s)
             if date is None:
-                try:
+                try:  # Python 3.11's fromisoformat also reads ISO basic and week dates
+                    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", date_s):
+                        raise ValueError
                     date = dates[date_s] = dt.date.fromisoformat(date_s)
                 except ValueError:
                     raise ParseError(f"bad date {date_s!r}", line=line_no) from None

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import ConfigError
 from .ingest import MAX_SCORE, League, Season
 
+FIRST_DAY = dt.date(2000, 1, 1)  # of a synthetic schedule, which plays n_teams // 2 games a day
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -49,6 +51,10 @@ class SynthSpec:
                 f"{self.n_teams} teams x {self.games_per_team} games each is an "
                 "odd number of team-slots; no schedule exists"
             )
+        last_day = (self.n_teams * self.games_per_team // 2 - 1) // max(1, self.n_teams // 2)
+        if last_day > (dt.date.max - FIRST_DAY).days:
+            raise ConfigError(f"a schedule of {self.n_teams} teams x {self.games_per_team} "
+                              f"games each runs past {dt.date.max}")
         for name in ("home_adv", "mov_scale", "mov_noise_sd", "strength_sd"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -142,8 +148,8 @@ def generate_season(spec: SynthSpec) -> tuple[Season, SynthTruth]:
                           "lower mov_scale, mov_noise_sd or the strengths")
     margins = margins.astype(int).tolist()
 
-    per_day, first_day = max(1, spec.n_teams // 2), dt.date(2000, 1, 1)
-    rows = tuple((first_day + dt.timedelta(days=i // per_day), home, away, max(m, 0), max(-m, 0))
+    per_day = max(1, spec.n_teams // 2)
+    rows = tuple((FIRST_DAY + dt.timedelta(days=i // per_day), home, away, max(m, 0), max(-m, 0))
                  for i, ((home, away), m) in enumerate(zip(matchups, margins)))
     season = Season(League.OTHER, f"synth-{spec.seed}", rows)
     truth = SynthTruth(

@@ -13,6 +13,7 @@ import csv
 import datetime as dt
 import io
 import itertools
+import re
 
 import numpy as np
 import scipy.optimize
@@ -203,6 +204,8 @@ def reference_parse_season(raw: bytes, league, season_label: str) -> Season:
             raise ParseError(f"expected 5 columns, got {len(row)}", line=line_no)
         date_s, home, away, hs_s, as_s = (field.strip() for field in row)
         try:
+            if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", date_s):
+                raise ValueError
             date = dt.date.fromisoformat(date_s)
         except ValueError:
             raise ParseError(f"bad date {date_s!r}", line=line_no) from None

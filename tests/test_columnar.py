@@ -44,7 +44,7 @@ from seasoninfo import (
     run_protocol,
 )
 from seasoninfo import batch, harness
-from seasoninfo.harness import (_chunks, _evaluate_group, _evaluate_split, _marked, _narrow,
+from seasoninfo.harness import (_chunks, _evaluate_split, _evaluate_units, _marked, _narrow,
                                 _train_mask, split_seed, train_size)
 from seasoninfo.batch import _bt_hessian, fit_bt_batch, fit_mov_batch
 from seasoninfo.models import (
@@ -521,11 +521,11 @@ def test_unit_peak_stays_within_the_byte_budget(n_teams, games_per_team):
     ceiling = harness.GAME_BYTES * n_games + harness.TEAM_BYTES * (n_teams + 1) ** 2
     assert size * ceiling <= harness.UNIT_BYTES
     for f in config.x_grid:
-        peak = _peak(lambda: _evaluate_group(states[:1], config, (0,), f, range(size)))
+        peak = _peak(lambda: _evaluate_units(states[:1], config, [((0,), f, range(size))]))
         assert peak <= size * ceiling, (f, size, peak / size, ceiling)
-        peak = _peak(lambda: _evaluate_group(states, config, (0, 1, 2), f, range(size)))
+        peak = _peak(lambda: _evaluate_units(states, config, [((0, 1, 2), f, range(size))]))
         assert peak <= size * ceiling, ("group", f, size, peak / size, ceiling)
-        peak = _peak(lambda: _evaluate_group(states, config, (0, 3), f, range(size)))
+        peak = _peak(lambda: _evaluate_units(states, config, [((0, 3), f, range(size))]))
         assert peak <= size * ceiling, ("mixed group", f, size, peak / size, ceiling)
 
 
@@ -713,7 +713,7 @@ def test_criterion_7_seasons_never_read_the_objective(monkeypatch):
         columns = tuple(map(_narrow, season.columns))
         config = ProtocolConfig(replicates=100, master_seed=kw["seed"])
         for f, ks in _chunks(config, n_games, n_teams, jobs=1):
-            _evaluate_group([(columns, n_teams)], config, (0,), f, ks)
+            _evaluate_units([(columns, n_teams)], config, [((0,), f, ks)])
     assert calls == []
 
 

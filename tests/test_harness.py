@@ -216,7 +216,7 @@ def test_jobs_are_capped_at_the_usable_cpus(monkeypatch, small_league, cpus, aff
     assert len(shares) == helpers
     # units are sized for the capped count (at least two per worker), not
     # one replicate each as for 1000 workers
-    assert {len(ks) for share in shares for _, ks in share} <= {2}
+    assert {len(ks) for share in shares for _, _, ks in share} <= {2}
     assert repr(points) == repr(run_protocol(season, config, jobs=1))
 
 
@@ -250,6 +250,22 @@ def test_a_call_of_many_seasons_starts_its_helpers_once(monkeypatch, tmp_path):
     assert main([*argv, "--jobs", "2", "--out", str(tmp_path / "jobs2.csv")]) == 0
     assert len(shares) == 1
     assert (tmp_path / "jobs2.csv").read_bytes() == (tmp_path / "jobs1.csv").read_bytes()
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_helpers_started_without_fork_give_the_same_points(monkeypatch, small_league, method):
+    """A helper that imports the package afresh, as under ``spawn`` or
+    ``forkserver``, gets everything it needs through its arguments."""
+    season, _ = small_league
+    config = ProtocolConfig(x_grid=(0.5,), replicates=12, master_seed=11)
+    unit_replicates(monkeypatch, season, 3)  # 4 units, 2 workers
+    usable_cpus(monkeypatch, 2)
+    alone = repr(run_protocol(season, config, jobs=1))
+    monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context(method))
+    schedule = {}
+    (points,) = harness.run_seasons([season], config, 2, schedule)
+    assert repr(points) == alone
+    assert schedule["workers"] == 2
 
 
 def _synth_season(n_teams, games_per_team, seed):
@@ -290,7 +306,7 @@ def test_seasons_of_one_length_draw_each_split_once(monkeypatch, jobs):
     assert drawn == {(f, k): 2 for f in config.x_grid for k in range(config.replicates)}
     assert len(shares) == jobs - 1
     for share in shares:  # a helper gets whole groups
-        assert {seasons for (seasons, _), _ in share} == {(0, 1, 2, 4), (3,)}
+        assert {seasons for seasons, _, _ in share} == {(0, 1, 2, 4), (3,)}
 
 
 needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -359,8 +375,9 @@ def test_an_exception_in_the_callers_share_stops_a_blocked_helper(helper_run):
         time.sleep(0.5)  # the helper is by then blocked sending its results
         raise ZeroDivisionError("in the caller")
 
-    def large(*args):  # pickles to several times a 64 kB pipe buffer
-        return [(float(i), 0.5, 0.5) for i in range(20_000)]
+    def large(*args):  # a cell per replicate, each past a 64 kB pipe buffer and distinct,
+        # as pickle sends a repeated object once
+        return [(os.urandom(100_000), 0.5, 0.5) for _ in args[-1]]
 
     start = time.perf_counter()
     with pytest.raises(ZeroDivisionError, match="in the caller"):

@@ -57,6 +57,11 @@ def test_parse_rejects_self_game_with_line_number():
     ("2012-09-09,GB,CHI,23,9223372036854775808", "score of 2**63"),
     ("2012-09-09,GB,CHI,23," + "9" * 5000, "score beyond int()'s digit limit"),
     ("not-a-date,GB,CHI,23,10", "bad date"),
+    # Python 3.11's date.fromisoformat reads ISO basic and week dates; 3.10's does not
+    ("20120909,GB,CHI,23,10", "ISO basic date"),
+    ("2012W367,GB,CHI,23,10", "ISO basic week date"),
+    ("2012-W36-7,GB,CHI,23,10", "ISO week date"),
+    ("2012-W36,GB,CHI,23,10", "ISO week"),
     ("2012-09-09,,CHI,23,10", "empty team"),
     ("2012-09-09,GB,CHI,2\x003,10", "NUL byte: the csv module refuses it on Python 3.10"),
 ])
@@ -156,7 +161,7 @@ def test_round_trip_property(season):
 
 
 BAD_FIELDS = (  # per column: values that corrupt a row, or that a parser could misread
-    ("2012-13-01", "2012-02-30", "not-a-date", "", "2012/09/09", "20120909"),
+    ("2012-13-01", "2012-02-30", "not-a-date", "", "2012/09/09", "20120909", "2012-W36-7"),
     ("", '""', "  "),
     ("", '""', "  "),
     ("3.5", "-3", "", "+3", "1e3", "\u0663", "9" * 20, "9" * 5000, "007",

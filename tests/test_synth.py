@@ -53,6 +53,14 @@ def test_spec_rejects_negative_seed_and_oversized_margins():
                                   mov_scale=1e300))
 
 
+def test_spec_refuses_a_schedule_past_the_last_date():
+    """Two teams play one game a day from 2000-01-01, so 2,921,940 games
+    end on 9999-12-31 and one more would fall after it."""
+    with pytest.raises(ConfigError, match="runs past 9999-12-31"):
+        SynthSpec(n_teams=2, games_per_team=2_921_941, seed=0, strength_sd=1.0)
+    SynthSpec(n_teams=2, games_per_team=2_921_940, seed=0, strength_sd=1.0)
+
+
 def test_generated_season_satisfies_invariants():
     spec = SynthSpec(n_teams=9, games_per_team=10, seed=5, strength_sd=1.0)
     season, truth = generate_season(spec)
