@@ -154,14 +154,13 @@ def _bt_newton(h, a, w, decisive, seen, n, penalty, tol, max_iter):
                 x[keep] for x in (theta, grad, gnorm, ids, iters, live, seen))
         step = _ridge_solve(_bt_hessian(pi, *games[:2], n, penalty), grad, penalty, floor, seen)
         # A step counts as progress if it shrinks the gradient or raises
-        # the objective; each row halves its own step until it does. The
-        # objective decides only where the norm did not shrink, so only
-        # there is it computed, at both points. A pass takes the gradient
-        # of every row: one that is done holds its accepted parameters, so
-        # its pi comes out unchanged.
-        scale, todo = np.ones(len(theta)), np.arange(len(theta))
-        cand = theta + step
-        while todo.size:
+        # the objective. The rows that made no progress halve their steps
+        # together, so one scale serves them. The objective decides only
+        # where the norm did not shrink, so only there is it computed, at
+        # both points. A pass takes the gradient of every row: one that is
+        # done holds its accepted parameters, so its pi comes out unchanged.
+        scale, todo, cand = 1.0, np.arange(len(theta)), theta + step
+        while todo.size and scale > 1e-12:
             c_grad, c_gnorm = _bt_gradient(cand, *games, penalty, pi)
             ok = c_gnorm[todo] < gnorm[todo]
             if not ok.all():
@@ -176,11 +175,10 @@ def _bt_newton(h, a, w, decisive, seen, n, penalty, tol, max_iter):
             theta[took], grad[took], gnorm[took] = cand[took], c_grad[took], c_gnorm[took]
             iters[took] += 1
             todo = todo[~ok]
-            scale[todo] *= 0.5
-            stuck = scale[todo] <= 1e-12
-            live[todo[stuck]] = False  # no progress possible; the norm decides
-            todo = todo[~stuck]
-            cand[todo] = theta[todo] + scale[todo, None] * step[todo]
+            scale *= 0.5
+            cand[todo] = theta[todo] + scale * step[todo]
+        else:  # rows left at the floor can make no progress; the norm decides
+            live[todo] = False
 
 
 def fit_bt_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PENALTY,

@@ -71,9 +71,6 @@ class ProtocolConfig:
 class Split:
     train: tuple[Game, ...]
     test: tuple[Game, ...]
-    fraction: float
-    replicate_index: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -128,9 +125,7 @@ def make_split(season: Season, config: ProtocolConfig, fraction: float,
                replicate: int) -> Split:
     (chosen,) = _train_mask(len(season.rows), config, fraction, [replicate]).tolist()
     return Split(train=tuple(compress(season.games, chosen)),
-                 test=tuple(compress(season.games, (not train for train in chosen))),
-                 fraction=fraction, replicate_index=replicate,
-                 seed=split_seed(config.master_seed, fraction, replicate))
+                 test=tuple(compress(season.games, (not train for train in chosen))))
 
 
 def home_baseline(test) -> float:

@@ -43,7 +43,6 @@ class BtFit:
     strengths: Mapping[str, float]
     home_adv: float
     penalty: float
-    converged: bool
     iterations: int
     final_gradient_norm: float
 
@@ -75,8 +74,7 @@ def bt_objective_gradient(train: Sequence[Game], teams, strengths: Mapping[str, 
     Gradient coordinates are sorted(teams) strengths followed by the home
     advantage. Tied games are ignored, exactly as in fitting.
     """
-    order = sorted(set(teams))
-    home, away, margin = (col[None] for col in encode_rows(game_rows(train), order))
+    order, home, away, margin = _encode_train(train, teams)
     theta = np.array([[strengths[t] for t in order] + [home_adv]], dtype=float)
     games = (home, away, margin > 0, margin != 0)
     grad, _ = _bt_gradient(theta, *games, penalty, np.empty(home.shape))
@@ -105,8 +103,7 @@ def fit_bt(train: Sequence[Game], teams, penalty: float = DEFAULT_PENALTY,
             gradient_norm=gnorm,
         )
     return BtFit(strengths=dict(zip(order, coef[0, :-1].tolist())), home_adv=float(coef[0, -1]),
-                 penalty=penalty, converged=True, iterations=iterations,
-                 final_gradient_norm=gnorm)
+                 penalty=penalty, iterations=iterations, final_gradient_norm=gnorm)
 
 
 def fit_mov(train: Sequence[Game], teams, penalty: float = DEFAULT_PENALTY) -> MovFit:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +69,15 @@ class SynthSpec:
             raise ConfigError(
                 f"strengths map has {len(self.strengths)} entries for {self.n_teams} teams"
             )
-        for team in self.strengths or ():  # ids the season CSV carries back unchanged
+        for team, value in (self.strengths or {}).items():  # ids the CSV carries back unchanged
             if not team or team != team.strip() or "\r" in team:
                 raise ConfigError(f"team id {team!r} is empty, has leading or trailing "
                                   "whitespace, or holds a carriage return")
+            # an int too large for a float, NaN and the infinities all fail the bound
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not abs(value) <= sys.float_info.max):
+                raise ConfigError(f"strength of team {team!r} must be a finite real number, "
+                                  f"got {value!r}")
         if self.strength_sd is not None and self.strength_sd < 0:
             raise ConfigError("strength_sd must be non-negative")
 

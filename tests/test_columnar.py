@@ -664,15 +664,30 @@ def _rows(name):
             else _tie_free_rows() if name == "tie_free" else _season_rows(name))
 
 
-@pytest.mark.parametrize("rows", ROWS)
-def test_lockstep_fit_matches_plain_newton(rows):
+@pytest.mark.parametrize("rows,tol", [
+    *(pytest.param(name, ProtocolConfig.bt_tol, id=name) for name in ROWS),
+    *(pytest.param(name, 0.0, id=f"{name}-tol0") for name in ROWS)])
+def test_lockstep_fit_matches_plain_newton(rows, tol):
     h, a, margin, n_teams, penalty = _rows(rows)
-    coef, iterations, gnorm = fit_bt_batch(h, a, margin, n_teams, penalty)
+    coef, iterations, gnorm = fit_bt_batch(h, a, margin, n_teams, penalty, tol)
     for k in range(len(margin)):
-        want, want_iter, want_norm = plain_bt_fit(h[k], a[k], margin[k], n_teams, penalty)
+        want, want_iter, want_norm = plain_bt_fit(h[k], a[k], margin[k], n_teams, penalty, tol)
         assert coef[k].tobytes() == want.tobytes(), k
         assert iterations[k] == want_iter, k
         assert repr(float(gnorm[k])) == repr(float(want_norm)), k
+
+
+def test_tol_0_stops_rows_at_the_halving_floor():
+    """At tol 0 a row iterates until max_iter or the halving floor stops it,
+    and some rows of ROWS stop at the floor, with a norm above 0 in fewer
+    than max_iter iterations: the lockstep comparison at tol 0 covers that
+    exit."""
+    stopped = 0
+    for name in ROWS:
+        h, a, margin, n_teams, penalty = _rows(name)
+        _, iterations, gnorm = fit_bt_batch(h, a, margin, n_teams, penalty, tol=0.0)
+        stopped += ((gnorm > 0) & (iterations < ProtocolConfig.bt_max_iter)).sum()
+    assert stopped
 
 
 @pytest.mark.parametrize("rows", ROWS)
@@ -744,5 +759,5 @@ def test_step_halving_reads_the_objective(monkeypatch, seed):
     """A step that must be halved did not shrink the norm, so the objective
     decides it; the fits still match plain Newton bit for bit."""
     calls = _count_objective_passes(monkeypatch)
-    test_lockstep_fit_matches_plain_newton(f"halving-{seed}")
+    test_lockstep_fit_matches_plain_newton(f"halving-{seed}", ProtocolConfig.bt_tol)
     assert calls

@@ -83,14 +83,14 @@ def test_split_regeneration_is_identical(toy_16_game_season):
 def test_all_splits_satisfy_partition_invariant(toy_16_game_season):
     config = ProtocolConfig(replicates=10, master_seed=5)
     all_ids = {g.game_id for g in toy_16_game_season.games}
-    splits = [make_split(toy_16_game_season, config, f, k)
+    splits = [(f, make_split(toy_16_game_season, config, f, k))
               for f in config.x_grid for k in range(config.replicates)]
-    for split in splits:
+    for f, split in splits:
         train_ids = {g.game_id for g in split.train}
         test_ids = {g.game_id for g in split.test}
         assert not train_ids & test_ids
         assert train_ids | test_ids == all_ids
-        assert len(split.train) == train_size(split.fraction, 16)
+        assert len(split.train) == train_size(f, 16)
 
 
 def test_game_membership_frequencies_are_binomial():

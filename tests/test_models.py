@@ -79,14 +79,13 @@ class TestFitBt:
         fit = fit_bt(games, {"A", "B"}, penalty=1.0)
         assert fit.strengths == {"A": 0.0, "B": 0.0}
         assert fit.home_adv == 0.0
-        assert fit.converged
+        assert fit.final_gradient_norm <= 1e-8
 
     def test_matches_grid_oracle_on_fixed_instance(self):
         fit = fit_bt(bt_games(), {"A", "B", "C"}, penalty=1.0)
         for team, expected in BT_EXPECTED.items():
             assert fit.strengths[team] == pytest.approx(expected, abs=1e-6)
         assert fit.home_adv == pytest.approx(BT_EXPECTED_ALPHA, abs=1e-6)
-        assert fit.converged
         assert fit.final_gradient_norm <= 1e-8
 
     def test_separation_stays_finite(self):
@@ -95,7 +94,7 @@ class TestFitBt:
              [("A", "B"), ("B", "A"), ("A", "C"), ("C", "A"), ("B", "C"), ("C", "B")]]
         )
         fit = fit_bt(games, {"A", "B", "C"}, penalty=1.0)
-        assert fit.converged
+        assert fit.final_gradient_norm <= 1e-8
         assert fit.home_adv == pytest.approx(SEPARATION_ALPHA, abs=1e-6)
         for v in fit.strengths.values():
             assert v == pytest.approx(0.0, abs=1e-9)
@@ -124,6 +123,8 @@ class TestFitBt:
             fit_bt(bt_games(), {"A", "B", "C"}, penalty=0.0)
         with pytest.raises(ValueError):
             fit_bt(bt_games(), {"A", "B"}, penalty=1.0)  # C missing from team set
+        with pytest.raises(ValueError):
+            bt_objective_gradient(bt_games(), {"A", "B"}, {"A": 0.0, "B": 0.0}, 0.0, 1.0)
 
     def test_nonconvergence_raises_with_diagnostics(self):
         with pytest.raises(FitError) as err:
@@ -153,7 +154,7 @@ class TestFitBt:
                     fit_bt(games, teams, penalty=penalty)
                 continue
             fit = fit_bt(games, teams, penalty=penalty)
-            assert fit.converged and fit.final_gradient_norm <= 1e-8
+            assert fit.final_gradient_norm <= 1e-8
 
     def test_swept_round_robin_at_a_tiny_penalty(self):
         games = games_from_results(
@@ -166,7 +167,8 @@ class TestFitBt:
         # The home advantage grows until its gradient, 6 (1 - pi) less a
         # negligible penalty term, falls below tol.
         fit = fit_bt(games, {"A", "B", "C"}, penalty=1e-300)
-        assert fit.converged and fit.strengths == {"A": 0.0, "B": 0.0, "C": 0.0}
+        assert fit.final_gradient_norm <= 1e-8
+        assert fit.strengths == {"A": 0.0, "B": 0.0, "C": 0.0}
         assert 6 / (1 + math.exp(fit.home_adv)) <= 1e-8
 
     @given(st.randoms(use_true_random=False))
@@ -257,8 +259,7 @@ class TestPredict:
     def test_logit_identity(self):
         # strength gap + home edge of ln 3 means 3:1 odds
         fit = BtFit(strengths={"A": math.log(3) / 2, "B": -math.log(3) / 2},
-                    home_adv=0.0, penalty=1.0, converged=True, iterations=0,
-                    final_gradient_norm=0.0)
+                    home_adv=0.0, penalty=1.0, iterations=0, final_gradient_norm=0.0)
         assert predict_bt(fit, make_game(1, "A", "B", 0, 0)) == pytest.approx(0.75)
 
     def test_fixed_instance_predictions_match_oracle(self):

@@ -45,6 +45,15 @@ def test_spec_requires_finite_parameters(name, value):
         SynthSpec(n_teams=4, games_per_team=4, seed=0, **{"strength_sd": 1.0, name: value})
 
 
+@pytest.mark.parametrize("value", ["1.5", "x", True, None, 10**400, math.nan, math.inf, -math.inf],
+                         ids=["str-1.5", "str-x", "True", "None", "10**400", "nan", "inf", "-inf"])
+def test_spec_refuses_a_strength_that_is_not_a_finite_real(value):
+    """A bool, a string, an int too large for a float and the non-finite
+    floats are refused by name when the spec is made, not in generation."""
+    with pytest.raises(ConfigError, match="strength of team 'A'"):
+        SynthSpec(n_teams=2, games_per_team=2, seed=1, strengths={"A": value, "B": 0.0})
+
+
 def test_spec_rejects_negative_seed_and_oversized_margins():
     with pytest.raises(ConfigError, match="seed"):
         SynthSpec(n_teams=4, games_per_team=4, seed=-1, strength_sd=1.0)
