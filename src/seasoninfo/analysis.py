@@ -157,7 +157,6 @@ HEADLINE_FRACTION = 0.875  # of or_mov_875 and the informativeness ratios
 class SummaryReport:
     """Per-league digest of one or more seasons' accuracy curves."""
 
-    league: str
     seasons_used: tuple[str, ...]
     or_mov_875: float
     per_season_or: dict[str, float]
@@ -290,7 +289,6 @@ def summarize_league(league: str, rows: Sequence[CurveRow],
         breakpoint_fit = fit_breakpoint(xy)
 
     return SummaryReport(
-        league=league,
         seasons_used=seasons,
         or_mov_875=or_875,
         per_season_or=per_season_or,

@@ -318,22 +318,11 @@ def cmd_synth(args) -> int:
     strengths = None
     strength_sd = args.strength_sd
     if args.strengths is not None:
-        if strength_sd is not None:
-            raise ConfigError("give --strengths or --strength-sd, not both")
-        try:
-            raw = json.loads(Path(args.strengths).read_text(encoding="utf-8"))
+        try:  # an integer reaches SynthSpec as a float, inf if too large for one
+            strengths = json.loads(Path(args.strengths).read_text(encoding="utf-8"),
+                                   parse_int=float)
         except UnicodeDecodeError as exc:
             raise ParseError(f"--strengths file is not UTF-8: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("--strengths must hold a JSON object of team: strength")
-        try:
-            strengths = {str(k): _from_json(float, v) for k, v in raw.items()}
-        except TypeError:
-            raise ConfigError("--strengths values must be numbers") from None
-        except OverflowError:  # an integer too large for a float
-            raise ConfigError("--strengths values must be finite") from None
-        if not all(math.isfinite(v) for v in strengths.values()):
-            raise ConfigError("--strengths values must be finite")
     elif strength_sd is None:
         strength_sd = 1.0
 
@@ -396,12 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teams", type=int, required=True)
     p.add_argument("--games-per-team", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--home-adv", type=float, default=0.0)
+    p.add_argument("--home-adv", type=float, default=SynthSpec.home_adv)
     p.add_argument("--strength-sd", type=float, default=None)
     p.add_argument("--strengths", default=None,
                    help="JSON file of explicit team strengths")
-    p.add_argument("--mov-scale", type=float, default=7.0)
-    p.add_argument("--mov-noise-sd", type=float, default=12.0)
+    p.add_argument("--mov-scale", type=float, default=SynthSpec.mov_scale)
+    p.add_argument("--mov-noise-sd", type=float, default=SynthSpec.mov_noise_sd)
     p.add_argument("--out", required=True, help="season CSV path")
     p.set_defaults(func=cmd_synth)
 

@@ -132,8 +132,8 @@ def parse_season(source, league: League, season_label: str) -> Season:
     ends for malformed rows (wrong column count, bad date, non-integer
     score, a score above MAX_SCORE, home == away) and for text the csv
     module refuses (such as a field longer than ``csv.field_size_limit()``),
-    and for files with no data rows. The season's ``teams`` are collected
-    during the scan.
+    naming the line of the first byte that is not UTF-8, and for files with
+    no data rows. The season's ``teams`` are collected during the scan.
     """
     if isinstance(source, (bytes, bytearray)):
         raw = bytes(source)
@@ -142,7 +142,8 @@ def parse_season(source, league: League, season_label: str) -> Season:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"input is not valid UTF-8: {exc}") from None
+        raise ParseError(f"input is not valid UTF-8: {exc}",
+                         line=raw.count(b"\n", 0, exc.start) + 1) from None
 
     reader = csv.reader(io.StringIO(text, newline=""))
     rows = []

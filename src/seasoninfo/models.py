@@ -42,7 +42,6 @@ class BtFit:
 
     strengths: Mapping[str, float]
     home_adv: float
-    penalty: float
     iterations: int
     final_gradient_norm: float
 
@@ -53,7 +52,6 @@ class MovFit:
 
     strengths: Mapping[str, float]
     home_adv: float
-    penalty: float
     residual_sd: float
 
 
@@ -103,7 +101,7 @@ def fit_bt(train: Sequence[Game], teams, penalty: float = DEFAULT_PENALTY,
             gradient_norm=gnorm,
         )
     return BtFit(strengths=dict(zip(order, coef[0, :-1].tolist())), home_adv=float(coef[0, -1]),
-                 penalty=penalty, iterations=iterations, final_gradient_norm=gnorm)
+                 iterations=iterations, final_gradient_norm=gnorm)
 
 
 def fit_mov(train: Sequence[Game], teams, penalty: float = DEFAULT_PENALTY) -> MovFit:
@@ -117,8 +115,7 @@ def fit_mov(train: Sequence[Game], teams, penalty: float = DEFAULT_PENALTY) -> M
     order, home, away, margin = _encode_train(train, teams)
     coef = fit_mov_batch(home, away, margin, len(order), penalty)
     resid = margin[0].astype(float) - linear_predictor(coef, home, away)[0]
-    return MovFit(strengths=dict(zip(order, coef[0, :-1].tolist())),
-                  home_adv=float(coef[0, -1]), penalty=penalty,
+    return MovFit(strengths=dict(zip(order, coef[0, :-1].tolist())), home_adv=float(coef[0, -1]),
                   residual_sd=float(np.sqrt((resid @ resid) / len(resid))))
 
 

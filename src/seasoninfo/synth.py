@@ -14,6 +14,7 @@ import datetime as dt
 import math
 import numbers
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,12 @@ class SynthSpec:
     strength_sd: float | None = None
 
     def __post_init__(self):
+        for name in ("n_teams", "games_per_team", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            # held as int: a numpy int can wrap below, and timedelta refuses one
+            object.__setattr__(self, name, int(value))
         if self.n_teams < 2:
             raise ConfigError("need at least 2 teams")
         if self.games_per_team < 1:
@@ -65,14 +72,17 @@ class SynthSpec:
             raise ConfigError("mov_scale and mov_noise_sd must be positive")
         if (self.strengths is None) == (self.strength_sd is None):
             raise ConfigError("give exactly one of strengths or strength_sd")
+        if self.strengths is not None and not isinstance(self.strengths, Mapping):
+            raise ConfigError("strengths must map team ids to strengths, got a "
+                              f"{type(self.strengths).__name__}")
         if self.strengths is not None and len(self.strengths) != self.n_teams:
             raise ConfigError(
                 f"strengths map has {len(self.strengths)} entries for {self.n_teams} teams"
             )
         for team, value in (self.strengths or {}).items():  # ids the CSV carries back unchanged
-            if not team or team != team.strip() or "\r" in team:
-                raise ConfigError(f"team id {team!r} is empty, has leading or trailing "
-                                  "whitespace, or holds a carriage return")
+            if not isinstance(team, str) or not team or team != team.strip() or "\r" in team:
+                raise ConfigError(f"team id {team!r} is not a str, is empty, has leading or "
+                                  "trailing whitespace, or holds a carriage return")
             # an int too large for a float, NaN and the infinities all fail the bound
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not abs(value) <= sys.float_info.max):

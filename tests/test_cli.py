@@ -418,6 +418,17 @@ def test_summary_rejects_fields_that_curve_never_writes(tmp_path, capsys, suffix
     assert sorted(p.name for p in tmp_path.iterdir()) == [curve.name]
 
 
+def test_summary_refuses_a_csv_row_shorter_than_its_header(tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    text = curve_text(curve, [CurveRow("NBA", "2012", f, 82 * f, 0.6, 0.01, 0.6, 0.01, 0.55)
+                              for f in DEFAULT_X_GRID])
+    curve.write_text(text[:text.rindex(",")] + "\n", encoding="utf-8")  # the last row loses a field
+    assert main(["summary", str(curve), "--out", str(tmp_path / "report")]) == 3
+    err = capsys.readouterr().err
+    assert "fewer fields than the header" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [curve.name]
+
+
 def test_summary_rejects_duplicate_rows_and_writes_nothing(tmp_path, capsys):
     curve = summary_curve_file(tmp_path)
     out = tmp_path / "report"
@@ -566,17 +577,35 @@ def test_cli_never_builds_a_game(tmp_path, monkeypatch):
     assert main(["summary", str(curve), "--out", str(tmp_path / "report")]) == 0
 
 
-@pytest.mark.parametrize("body", ['{"A": "x", "B": 1.0}', '["A", "B"]', '{"A": [1], "B": 0}',
-                                  '{"A": NaN, "B": 0}', '{"A": "1.5", "B": true}',
-                                  '{"A": 1.5, "B": true}'])
-def test_synth_rejects_bad_strengths_file(tmp_path, capsys, body):
+# Each file's body and what the refusal names: the team or the strengths.
+BAD_STRENGTHS = {'{"A": "x", "B": 1.0}': "strength of team 'A'",
+                 '["A", "B"]': "strengths must map team ids",
+                 '{"A": [1], "B": 0}': "strength of team 'A'",
+                 '{"A": NaN, "B": 0}': "strength of team 'A'",
+                 '{"A": "1.5", "B": true}': "strength of team 'A'",
+                 '{"A": 1.5, "B": true}': "strength of team 'B'"}
+
+
+@pytest.mark.parametrize("body,message", BAD_STRENGTHS.items(), ids=list(BAD_STRENGTHS))
+def test_synth_rejects_bad_strengths_file(tmp_path, capsys, body, message):
     strengths = tmp_path / "str.json"
     strengths.write_text(body, encoding="utf-8")
     out = tmp_path / "s.csv"
     code = main(["synth", "--teams", "2", "--games-per-team", "4", "--seed", "3",
                  "--strengths", str(strengths), "--out", str(out)])
     assert code == 2
-    assert "--strengths" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [strengths]
+
+
+def test_synth_refuses_strengths_with_a_strength_sd(tmp_path, capsys):
+    strengths = tmp_path / "str.json"
+    strengths.write_text('{"A": 0.5, "B": 0}', encoding="utf-8")
+    assert main(["synth", "--teams", "2", "--games-per-team", "4", "--seed", "3",
+                 "--strengths", str(strengths), "--strength-sd", "1",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "strength" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == [strengths]
 
 
@@ -702,9 +731,10 @@ def test_curve_rejects_a_season_label_that_is_not_utf8(tmp_path, capsys, suffix)
 
 
 @pytest.mark.parametrize("body,code,message", [
-    (b'{"A": 1' + b"0" * 400 + b', "B": 0}', 2, "--strengths values must be finite"),
-    (b'{"A": 1, "\xff": 0}', 3, "--strengths file is not UTF-8")],
-    ids=["integer_too_large_for_a_float", "not_utf8"])
+    (b'{"A": 1' + b"0" * 400 + b', "B": 0}', 2, "strength of team 'A'"),
+    (b'{"A": 1, "\xff": 0}', 3, "--strengths file is not UTF-8"),
+    (b'{"A": 1' + b"0" * 5000 + b', "B": 0}', 2, "strength of team 'A'")],
+    ids=["integer_too_large_for_a_float", "not_utf8", "integer_past_the_int_digit_limit"])
 def test_synth_refuses_a_strengths_file_it_cannot_read(tmp_path, capsys, body, code, message):
     strengths = tmp_path / "str.json"
     strengths.write_bytes(body)

@@ -134,6 +134,12 @@ def small_league():
     return season, truth
 
 
+def test_run_seasons_refuses_jobs_below_1(small_league):
+    season, _ = small_league
+    with pytest.raises(ConfigError, match="jobs must be at least 1, got 0"):
+        harness.run_seasons([season], ProtocolConfig(replicates=2), 0)
+
+
 def test_run_protocol_reproducible_across_jobs(small_league):
     season, _ = small_league
     config = ProtocolConfig(x_grid=(0.25, 0.75), replicates=12, master_seed=11)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import io
 
 import numpy as np
 import pytest
@@ -94,6 +95,20 @@ def test_errors_after_a_field_with_a_newline_name_the_physical_line(row):
 def test_parse_accepts_the_largest_int64_score():
     season = parse(CANONICAL + "2012-09-09,GB,CHI,0009223372036854775807,0\n")
     assert season.games[0].home_score == 2**63 - 1
+
+
+def test_bytes_that_are_not_utf8_name_their_line():
+    raw = (CANONICAL + "2012-09-09,GB,CHI,23,10\n").encode("utf-8") + b"2012-09-10,\xff,GB,3,1\n"
+    with pytest.raises(ParseError, match="line 3: input is not valid UTF-8") as err:
+        parse_season(raw, League.NFL, "2012")
+    assert err.value.line == 3
+
+
+def test_parse_reads_a_binary_stream_as_its_bytes():
+    raw = (CANONICAL + "2012-09-09,GB,CHI,23,10\n2012-09-10,CHI,NYG,7,7\n").encode("utf-8")
+    from_stream = parse_season(io.BytesIO(raw), League.NFL, "2012")
+    from_bytes = parse_season(raw, League.NFL, "2012")
+    assert from_stream.rows == from_bytes.rows and from_stream.teams == from_bytes.teams
 
 
 def test_parse_rejects_empty_inputs():

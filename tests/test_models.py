@@ -259,7 +259,7 @@ class TestPredict:
     def test_logit_identity(self):
         # strength gap + home edge of ln 3 means 3:1 odds
         fit = BtFit(strengths={"A": math.log(3) / 2, "B": -math.log(3) / 2},
-                    home_adv=0.0, penalty=1.0, iterations=0, final_gradient_norm=0.0)
+                    home_adv=0.0, iterations=0, final_gradient_norm=0.0)
         assert predict_bt(fit, make_game(1, "A", "B", 0, 0)) == pytest.approx(0.75)
 
     def test_fixed_instance_predictions_match_oracle(self):
@@ -269,8 +269,7 @@ class TestPredict:
             assert got == pytest.approx(expected, abs=1e-6)
 
     def test_mov_arithmetic(self):
-        fit = MovFit(strengths={"A": 2.0, "B": -2.0}, home_adv=3.0,
-                     penalty=0.1, residual_sd=0.0)
+        fit = MovFit(strengths={"A": 2.0, "B": -2.0}, home_adv=3.0, residual_sd=0.0)
         assert predict_mov(fit, make_game(1, "A", "B", 0, 0)) == 7.0
 
     def test_unseen_teams_use_zero_strength(self):

@@ -36,6 +36,8 @@ def test_spec_validation():
                   strengths={"A": 0, "B": 0, "C": 0, "D": 0})
     with pytest.raises(ConfigError):
         SynthSpec(n_teams=4, games_per_team=4, seed=0, strengths={"A": 0.0})
+    with pytest.raises(ConfigError, match="strength_sd must be non-negative"):
+        SynthSpec(n_teams=4, games_per_team=4, seed=0, strength_sd=-1.0)
 
 
 @pytest.mark.parametrize("name", ["home_adv", "mov_scale", "mov_noise_sd", "strength_sd"])
@@ -52,6 +54,32 @@ def test_spec_refuses_a_strength_that_is_not_a_finite_real(value):
     floats are refused by name when the spec is made, not in generation."""
     with pytest.raises(ConfigError, match="strength of team 'A'"):
         SynthSpec(n_teams=2, games_per_team=2, seed=1, strengths={"A": value, "B": 0.0})
+
+
+@pytest.mark.parametrize("name", ["n_teams", "games_per_team", "seed"])
+@pytest.mark.parametrize("value", [True, 2.0, 1.5, "2"], ids=["True", "2.0", "1.5", "str-2"])
+def test_spec_refuses_an_integer_field_that_is_not_an_integer(name, value):
+    """Before generation: a float seed or game count would fail inside numpy,
+    and seed=True would label a season synth-True."""
+    fields = {"n_teams": 2, "games_per_team": 2, "seed": 1, name: value}
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        SynthSpec(**fields, strength_sd=1.0)
+
+
+def test_spec_holds_numpy_integers_as_python_ints():
+    spec = SynthSpec(n_teams=np.int64(4), games_per_team=np.int32(2), seed=np.uint8(7),
+                     strength_sd=1.0)
+    assert {type(v) for v in (spec.n_teams, spec.games_per_team, spec.seed)} == {int}
+    assert generate_season(spec) == generate_season(
+        SynthSpec(n_teams=4, games_per_team=2, seed=7, strength_sd=1.0))
+
+
+@pytest.mark.parametrize("strengths,match", [
+    ([("A", 0.5), ("B", 0.0)], "strengths must map team ids to strengths, got a list"),
+    ({1: 0.5, 2: 0.0}, "team id 1 is not a str")], ids=["list_of_pairs", "int_team_ids"])
+def test_spec_refuses_strengths_that_are_not_a_map_of_str(strengths, match):
+    with pytest.raises(ConfigError, match=match):
+        SynthSpec(n_teams=2, games_per_team=2, seed=1, strengths=strengths)
 
 
 def test_spec_rejects_negative_seed_and_oversized_margins():
