@@ -170,6 +170,9 @@ class SummaryReport:
 
 
 _LEAGUES = tuple(league.value for league in League)
+# What CurveRow.out_of_range asks of a field; only a failed check's message is formatted.
+_ONE_OF_LEAGUES = f"one of {', '.join(_LEAGUES)}"
+_FINITE = "finite and non-negative"
 
 
 @dataclass(frozen=True)
@@ -193,13 +196,16 @@ class CurveRow:
         none. ``curve``'s games_per_team lies between 0.5 / (season games)
         and the season's games; [1e-9, 1e9] keeps its squares in the slope
         and breakpoint fits clear of float underflow and overflow."""
-        checks = [("league", self.league in _LEAGUES, f"one of {', '.join(_LEAGUES)}"),
+        checks = (("league", self.league in _LEAGUES, _ONE_OF_LEAGUES),
                   ("fraction", 0.0 < self.fraction < 1.0, "in (0, 1)"),
-                  ("games_per_team", 1e-9 <= self.games_per_team <= 1e9, "in [1e-9, 1e9]")]
-        checks += [(name, 0.0 <= getattr(self, name) <= 1.0, "in [0, 1]")
-                   for name in ("mean_bt_acc", "mean_mov_acc", "baseline_acc")]
-        checks += [(name, 0.0 <= getattr(self, name) < math.inf, "finite and non-negative")
-                   for name in ("sd_bt_acc", "sd_mov_acc", "bt_failures", "mov_failures")]
+                  ("games_per_team", 1e-9 <= self.games_per_team <= 1e9, "in [1e-9, 1e9]"),
+                  ("mean_bt_acc", 0.0 <= self.mean_bt_acc <= 1.0, "in [0, 1]"),
+                  ("mean_mov_acc", 0.0 <= self.mean_mov_acc <= 1.0, "in [0, 1]"),
+                  ("baseline_acc", 0.0 <= self.baseline_acc <= 1.0, "in [0, 1]"),
+                  ("sd_bt_acc", 0.0 <= self.sd_bt_acc < math.inf, _FINITE),
+                  ("sd_mov_acc", 0.0 <= self.sd_mov_acc < math.inf, _FINITE),
+                  ("bt_failures", 0.0 <= self.bt_failures < math.inf, _FINITE),
+                  ("mov_failures", 0.0 <= self.mov_failures < math.inf, _FINITE))
         for name, ok, want in checks:
             if not ok:
                 return f"{name} {getattr(self, name)!r} is not {want}"
@@ -213,6 +219,13 @@ def aggregate_league_curve(rows: Sequence[CurveRow]):
     mean bt accuracy, mean baseline, min mov accuracy, max mov accuracy)
     sorted by fraction. Each mean sums its rows in season order, so the
     result does not depend on the order of ``rows``.
+
+    A fraction's four columns form one C-contiguous (4, seasons) block:
+    ``mean(axis=1)`` sums each row pairwise along contiguous memory, as
+    ``np.mean`` of that column alone does, so each mean has its bits.
+    (``np.add.reduceat`` and ``sum() / n`` sum in other orders.) The min
+    and max are Python's: of two equal zeros it keeps the first, where
+    numpy's can return -0.0.
     """
     by_fraction: dict[float, list[CurveRow]] = {}
     for r in sorted(rows, key=lambda r: r.season):
@@ -221,15 +234,10 @@ def aggregate_league_curve(rows: Sequence[CurveRow]):
     for f in sorted(by_fraction):
         grp = by_fraction[f]
         movs = [r.mean_mov_acc for r in grp]
-        out.append((
-            f,
-            float(np.mean([r.games_per_team for r in grp])),
-            float(np.mean(movs)),
-            float(np.mean([r.mean_bt_acc for r in grp])),
-            float(np.mean([r.baseline_acc for r in grp])),
-            min(movs),
-            max(movs),
-        ))
+        block = np.array([[r.games_per_team for r in grp], movs,
+                          [r.mean_bt_acc for r in grp], [r.baseline_acc for r in grp]])
+        games, mov, bt, base = block.mean(axis=1).tolist()
+        out.append((f, games, mov, bt, base, min(movs), max(movs)))
     return out
 
 
@@ -263,10 +271,13 @@ def summarize_league(league: str, rows: Sequence[CurveRow],
     per_season_or = {}
     undefined = {}
     missing = float("nan"), f"undefined: no curve row at fraction {HEADLINE_FRACTION}"
+    headline = {}  # each season's first row at HEADLINE_FRACTION
+    for r in rows:
+        if abs(r.fraction - HEADLINE_FRACTION) < 1e-9:
+            headline.setdefault(r.season, (r.mean_mov_acc, r.baseline_acc))
     for s in seasons:
-        srow = [(r.mean_mov_acc, r.baseline_acc) for r in rows
-                if r.season == s and abs(r.fraction - HEADLINE_FRACTION) < 1e-9]
-        per_season_or[s], reason = _odds_ratio_or_reason(*srow[0]) if srow else missing
+        per_season_or[s], reason = (_odds_ratio_or_reason(*headline[s]) if s in headline
+                                    else missing)
         if reason:
             undefined[f"per_season_or.{s}"] = reason
     or_875, reason = _odds_ratio_or_reason(*at_headline[0]) if at_headline else missing

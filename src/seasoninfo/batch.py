@@ -19,8 +19,14 @@ DEFAULT_MAX_ITER = 100
 
 def _row_dots(x):
     """``v @ v`` for each row ``v`` of ``x``, by one stacked matmul: the BLAS
-    dot a lone vector gets."""
-    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+    dot a lone vector gets. The rows are first copied into a buffer whose
+    row stride is an even number of float64s, so each row starts 16-byte
+    aligned, as a lone vector does: OpenBLAS's SSE kernels give a row that
+    starts 8 bytes off that boundary other bits."""
+    count, width = x.shape
+    buf = np.empty((count, width + width % 2))[:, :width]
+    buf[...] = x
+    return (buf[:, None, :] @ buf[:, :, None])[:, 0, 0]
 
 
 def linear_predictor(coef, home, away):

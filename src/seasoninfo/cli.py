@@ -231,7 +231,8 @@ def read_curve_file(path, data: bytes | None = None) -> list[CurveRow]:
         else:
             raw_rows, parse = list(csv.DictReader(io.StringIO(text, newline=""))), _from_csv
         rows = [_curve_row(raw, parse) for raw in raw_rows]
-    except (KeyError, TypeError, ValueError, OverflowError, csv.Error) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError, csv.Error) as exc:
+        # RecursionError: JSON nested past the parser's limit, about 1,000 levels
         raise ParseError(f"malformed curve file {path}: {exc}") from None
     for i, row in enumerate(rows, start=1):
         problem = row.out_of_range()
@@ -323,6 +324,8 @@ def cmd_synth(args) -> int:
                                    parse_int=float)
         except UnicodeDecodeError as exc:
             raise ParseError(f"--strengths file is not UTF-8: {exc}") from None
+        except RecursionError:  # the parser's own limit, about 1,000 levels
+            raise ParseError("--strengths file nests JSON too deeply") from None
     elif strength_sd is None:
         strength_sd = 1.0
 

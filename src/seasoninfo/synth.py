@@ -25,6 +25,14 @@ from .ingest import MAX_SCORE, League, Season
 FIRST_DAY = dt.date(2000, 1, 1)  # of a synthetic schedule, which plays n_teams // 2 games a day
 
 
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, that a float holds
+    finitely: an int too large for a float, NaN and the infinities all fail
+    the bound."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and abs(value) <= sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Ground truth for a synthetic league.
@@ -66,8 +74,8 @@ class SynthSpec:
                               f"games each runs past {dt.date.max}")
         for name in ("home_adv", "mov_scale", "mov_noise_sd", "strength_sd"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+            if not (_finite_real(value) or name == "strength_sd" and value is None):
+                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
         if self.mov_scale <= 0 or self.mov_noise_sd <= 0:
             raise ConfigError("mov_scale and mov_noise_sd must be positive")
         if (self.strengths is None) == (self.strength_sd is None):
@@ -80,12 +88,12 @@ class SynthSpec:
                 f"strengths map has {len(self.strengths)} entries for {self.n_teams} teams"
             )
         for team, value in (self.strengths or {}).items():  # ids the CSV carries back unchanged
-            if not isinstance(team, str) or not team or team != team.strip() or "\r" in team:
+            if (not isinstance(team, str) or not team or team != team.strip() or "\r" in team
+                    or any("\ud800" <= c <= "\udfff" for c in team)):
                 raise ConfigError(f"team id {team!r} is not a str, is empty, has leading or "
-                                  "trailing whitespace, or holds a carriage return")
-            # an int too large for a float, NaN and the infinities all fail the bound
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not abs(value) <= sys.float_info.max):
+                                  "trailing whitespace, holds a carriage return or does not "
+                                  "encode to UTF-8")
+            if not _finite_real(value):
                 raise ConfigError(f"strength of team {team!r} must be a finite real number, "
                                   f"got {value!r}")
         if self.strength_sd is not None and self.strength_sd < 0:

@@ -14,7 +14,7 @@ from seasoninfo import (
     odds_ratio,
     summarize_league,
 )
-from seasoninfo.analysis import BREAKPOINT_MIN_IMPROVEMENT
+from seasoninfo.analysis import BREAKPOINT_MIN_IMPROVEMENT, aggregate_league_curve
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 
@@ -188,6 +188,54 @@ def curve_row(league, season, fraction, gpt, mov, base, bt=None):
         mean_bt_acc=bt if bt is not None else mov, sd_bt_acc=0.01,
         mean_mov_acc=mov, sd_mov_acc=0.01, baseline_acc=base,
     )
+
+
+def per_list_curve(rows):
+    """aggregate_league_curve written plainly: one ``np.mean`` per column
+    list of each fraction's rows in season order, and Python's min and max."""
+    by_fraction = {}
+    for r in sorted(rows, key=lambda r: r.season):
+        by_fraction.setdefault(r.fraction, []).append(r)
+    out = []
+    for f in sorted(by_fraction):
+        grp = by_fraction[f]
+        movs = [r.mean_mov_acc for r in grp]
+        out.append((f, float(np.mean([r.games_per_team for r in grp])), float(np.mean(movs)),
+                    float(np.mean([r.mean_bt_acc for r in grp])),
+                    float(np.mean([r.baseline_acc for r in grp])), min(movs), max(movs)))
+    return out
+
+
+def accuracies(rng, n):
+    """n accuracies in [0, 1], a tenth of them 0.0, -0.0, 1.0 or the
+    smallest subnormal."""
+    acc = rng.random(n)
+    edge = rng.random(n) < 0.1
+    acc[edge] = rng.choice([0.0, -0.0, 1.0, 5e-324], edge.sum())
+    return acc.tolist()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 4))
+def test_aggregate_matches_per_list_means_bit_for_bit(seed, n_seasons, n_fractions):
+    """Each fraction has its own subset of up to 300 seasons, labels whose
+    text order is not their drawn order, values spread over 18 decades of
+    games per team and signed zeros among the accuracies, and the rows come
+    shuffled."""
+    rng = np.random.default_rng(seed)
+    labels = [str(k) for k in rng.permutation(10 * n_seasons)[:n_seasons]]
+    rows = []
+    for f in rng.choice([0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875], n_fractions,
+                        replace=False).tolist():
+        seasons = [s for s in labels if rng.random() < 0.8] or labels[:1]
+        n = len(seasons)
+        rows += [CurveRow("NBA", s, f, gpt, bt, 0.01, mov, 0.01, base)
+                 for s, gpt, bt, mov, base in zip(
+                     seasons, (10.0 ** rng.uniform(-9, 9, n)).tolist(),
+                     accuracies(rng, n), accuracies(rng, n), accuracies(rng, n))]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    got, want = aggregate_league_curve(rows), per_list_curve(rows)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert all(type(v) is float for point in got for v in point)
 
 
 class TestSummarizeLeague:

@@ -364,6 +364,21 @@ def test_summary_rejects_malformed_curve_file(tmp_path, capsys):
     assert "bad_curve.csv" in capsys.readouterr().err
 
 
+# JSON nested past the parser's recursion limit, as arrays and as objects.
+DEEP_JSON = {"arrays": b"[" * 100_000 + b"]" * 100_000,
+             "objects": b'{"a": ' * 100_000 + b"0" + b"}" * 100_000}
+
+
+@pytest.mark.parametrize("body", DEEP_JSON.values(), ids=list(DEEP_JSON))
+def test_summary_refuses_a_json_curve_file_nested_too_deeply(tmp_path, capsys, body):
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(body)
+    assert main(["summary", str(deep), "--out", str(tmp_path / "report")]) == 3
+    err = capsys.readouterr().err
+    assert "malformed curve file" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [deep]
+
+
 @pytest.mark.parametrize("column,value", [
     ("fraction", "nan"), ("fraction", "0"), ("fraction", "1"), ("games_per_team", "0"),
     ("games_per_team", "inf"), ("games_per_team", "1e-300"), ("games_per_team", "1e300"),
@@ -733,8 +748,13 @@ def test_curve_rejects_a_season_label_that_is_not_utf8(tmp_path, capsys, suffix)
 @pytest.mark.parametrize("body,code,message", [
     (b'{"A": 1' + b"0" * 400 + b', "B": 0}', 2, "strength of team 'A'"),
     (b'{"A": 1, "\xff": 0}', 3, "--strengths file is not UTF-8"),
-    (b'{"A": 1' + b"0" * 5000 + b', "B": 0}', 2, "strength of team 'A'")],
-    ids=["integer_too_large_for_a_float", "not_utf8", "integer_past_the_int_digit_limit"])
+    (b'{"A": 1' + b"0" * 5000 + b', "B": 0}', 2, "strength of team 'A'"),
+    (b'{"\\ud800": 0.5, "B": 0}', 2, "team id '\\ud800'"),
+    (b'{"B\\udfffB": 0.5, "B": 0}', 2, "team id 'B\\udfffB'"),
+    (DEEP_JSON["arrays"], 3, "--strengths file nests JSON too deeply"),
+    (DEEP_JSON["objects"], 3, "--strengths file nests JSON too deeply")],
+    ids=["integer_too_large_for_a_float", "not_utf8", "integer_past_the_int_digit_limit",
+         "lone_surrogate", "lone_surrogate_inside", "nested_arrays", "nested_objects"])
 def test_synth_refuses_a_strengths_file_it_cannot_read(tmp_path, capsys, body, code, message):
     strengths = tmp_path / "str.json"
     strengths.write_bytes(body)

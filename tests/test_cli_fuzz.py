@@ -5,7 +5,10 @@ file's bytes.
 
 Each input is drawn valid and then, half of the time, given one edit from
 a list of malformed or boundary values, so that both the rejections and
-the full paths behind them are reached."""
+the full paths behind them are reached. The JSON inputs, curve files and
+``synth --strengths`` files, are also edited as raw text: nesting past the
+parser's limit, lone surrogate escapes, huge integers, ``NaN`` literals
+and bytes that are not UTF-8."""
 
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import datetime as dt
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -85,11 +89,39 @@ BAD_CURVE_VALUES = [("fraction", math.nan), ("fraction", 0.0), ("fraction", 1.0)
                     ("mean_mov_acc", math.nan), ("mean_bt_acc", 1.5), ("baseline_acc", -0.1),
                     ("sd_bt_acc", -1.0), ("sd_mov_acc", math.inf), ("bt_failures", -1),
                     ("mov_failures", 2.5), ("league", 5), ("season", None)]
+
+
+def first_value(key, literal):
+    """The JSON text with the value of its first ``key`` written ``literal``."""
+    return lambda text: re.sub(rf'(?<="{key}": )("(?:[^"\\]|\\.)*"|[^,}}\]]+)',
+                               lambda _: literal, text, count=1)
+
+
+def first_key(key, literal):
+    return lambda text: text.replace(f'"{key}"', literal, 1)
+
+
+# Value literals that json.dumps never writes for a drawn input.
+ODD_LITERALS = ["NaN", "Infinity", "-Infinity", "1" + "0" * 400, "1" + "0" * 5000, "1e400",
+                "-0", "true", "null", '"\\ud800"', '"x\\udfffx"', "[]", "{}"]
+ODD_KEYS = ['"\\ud800"', '"T\\udc80"', '"\\udfff\\ud800"']
+# Edits of a whole file's text. Written with surrogateescape, "\udcff" is the
+# byte 0xff, which is not UTF-8.
+WHOLE_JSON_EDITS = [lambda text: "[" * 100_000 + "]" * 100_000,
+                    lambda text: '{"a": ' * 100_000 + "0" + "}" * 100_000,
+                    lambda text: text[:-1], lambda text: "\ufeff" + text,
+                    lambda text: text + "\udcff", lambda text: "[]"]
+CURVE_JSON_EDITS = WHOLE_JSON_EDITS + [first_key("curves", k) for k in ODD_KEYS] + [
+    first_value(column, literal) for column in CURVE_COLUMNS for literal in ODD_LITERALS]
+STRENGTHS_EDITS = WHOLE_JSON_EDITS + [first_key("T1", k) for k in ODD_KEYS] + [
+    first_value("T1", literal) for literal in ODD_LITERALS]
+
 curve_files = st.tuples(
     edited(curve_rows(), [set_first(c, v) for c, v in BAD_CURVE_VALUES]
            + [lambda rows: rows + rows[:1],  # a duplicate row
               lambda rows: [{c: r[c] for c in CURVE_COLUMNS[:-1]} for r in rows]]),
     st.lists(st.sampled_from([".csv", ".json"]), min_size=1, max_size=2),
+    st.one_of(st.none(), st.sampled_from(CURVE_JSON_EDITS)),  # of the first file, then JSON
 )
 
 
@@ -115,11 +147,24 @@ synth_flags = flags(
     + [("--mov-scale", "0"), ("--strength-sd", "-1"), ("--seed", "-1"),
        ("--teams/--games-per-team", ("3", "3"))])
 
+
+
+@st.composite
+def strengths_synth(draw):
+    """Synth flags without --strength-sd, and the text of a --strengths file
+    for the drawn team count, maybe edited."""
+    flag_values = {f: v for f, v in draw(synth_flags).items() if f != "--strength-sd"}
+    n_teams = int(flag_values["--teams/--games-per-team"][0])
+    text = json.dumps({f"T{i + 1}": draw(st.floats(-3.0, 3.0)) for i in range(n_teams)})
+    return flag_values, draw(edited(st.just(text), STRENGTHS_EDITS))
+
+
 command = st.one_of(
     st.tuples(st.just("curve"), st.lists(season, min_size=1, max_size=2), curve_flags,
               st.sampled_from([".csv", ".json"])),
     st.tuples(st.just("summary"), curve_files),
     st.tuples(st.just("synth"), synth_flags),
+    st.tuples(st.just("strengths"), strengths_synth()),
     st.tuples(st.just("validate"), st.lists(season, min_size=1, max_size=2)),
 )
 
@@ -130,14 +175,23 @@ def write_csv(path: Path, rows) -> Path:
     return path
 
 
-def write_curves(tmp: Path, rows, suffixes) -> list[Path]:
-    """The rows dealt round-robin into one file per suffix."""
+def write_json_text(path: Path, text: str) -> Path:
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    return path
+
+
+def write_curves(tmp: Path, rows, suffixes, raw_edit) -> list[Path]:
+    """The rows dealt round-robin into one file per suffix; with a
+    ``raw_edit``, the first file is JSON and its text is edited."""
+    if raw_edit:
+        suffixes = [".json", *suffixes[1:]]
     paths = []
     for i, suffix in enumerate(suffixes):
         mine = rows[i::len(suffixes)]
         path = tmp / f"curve{i}{suffix}"
         if suffix == ".json":
-            path.write_text(json.dumps({"curves": mine}), encoding="utf-8")
+            text = json.dumps({"curves": mine})
+            write_json_text(path, raw_edit(text) if raw_edit and i == 0 else text)
         else:
             columns = list(mine[0]) if mine else list(CURVE_COLUMNS)
             write_csv(path, [columns] + [[r[c] for c in columns] for r in mine])
@@ -180,7 +234,7 @@ def flag_argv(flag_values: dict) -> list[str]:
             for f, v in zip(flag.split("/"), value if isinstance(value, tuple) else (value,))]
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(command)
 def test_cli_exits_cleanly_on_arbitrary_input(cmd):
     with tempfile.TemporaryDirectory() as tmp:
@@ -197,9 +251,15 @@ def test_cli_exits_cleanly_on_arbitrary_input(cmd):
             check_run(tmp, ["summary", *map(str, write_curves(tmp, *cmd[1])), "--out", str(out)],
                       [out / n for n in ("summary.json", "table_or.csv", "table_slopes.csv",
                                          "manifest.json")])
-        elif name == "synth":
+        elif name in ("synth", "strengths"):
             out = tmp / "synth.csv"
-            if check_run(tmp, ["synth", "--out", str(out), *flag_argv(cmd[1])],
+            argv = ["synth", "--out", str(out)]
+            if name == "strengths":
+                flag_values, text = cmd[1]
+                argv += ["--strengths", str(write_json_text(tmp / "strengths.json", text))]
+            else:
+                flag_values = cmd[1]
+            if check_run(tmp, argv + flag_argv(flag_values),
                          [out, out.with_suffix(".truth.json")]) == 0:
                 # What synth writes, curve must take or reject cleanly.
                 check_run(tmp, ["curve", str(out), "--league", "OTHER", "--x-grid", "0.5",

@@ -539,10 +539,11 @@ def test_unit_sizes_are_the_ones_readme_states(n_teams, games_per_team, jobs, si
     assert max(len(ks) for _, ks in units) == size
 
 
-def plain_bt_fit(h, a, margin, n_teams, penalty, tol=1e-8, max_iter=100):
+def plain_bt_fit(h, a, margin, n_teams, penalty, tol=1e-8, max_iter=100, floor=1e-12):
     """One replicate's ridge BT fit by damped Newton on all its n_teams + 1
     parameters, written out plainly: the iterates, in the float operations,
-    that the lockstep fit of many rows must reproduce bit for bit."""
+    that the lockstep fit of many rows must reproduce bit for bit. A step
+    is halved until its scale reaches ``floor``."""
     n, dec, w = n_teams, margin != 0, (margin > 0) * 1.0
     if not dec.any():
         return np.zeros(n + 1), 0, float("nan")
@@ -571,9 +572,9 @@ def plain_bt_fit(h, a, margin, n_teams, penalty, tol=1e-8, max_iter=100):
                 iterations += 1
                 break
             scale *= 0.5
-            if scale <= 1e-12:
+            if scale <= floor:
                 break
-        if scale <= 1e-12:
+        if scale <= floor:
             break
     return theta, iterations, gnorm
 
@@ -656,7 +657,8 @@ def _tie_free_rows():
     return (*_train_rows(season, config, 0.5), len(season.teams), config.bt_penalty)
 
 
-ROWS = [*(f"halving-{s}" for s in (378, 586, 650, 1422, 1941, 2855)), *SEASONS, "tie_free"]
+ROWS = [*(f"halving-{s}" for s in (142, 378, 586, 650, 1422, 1941, 2855)), *SEASONS,
+        "tie_free"]
 
 
 def _rows(name):
@@ -688,6 +690,21 @@ def test_tol_0_stops_rows_at_the_halving_floor():
         _, iterations, gnorm = fit_bt_batch(h, a, margin, n_teams, penalty, tol=0.0)
         stopped += ((gnorm > 0) & (iterations < ProtocolConfig.bt_max_iter)).sum()
     assert stopped
+
+
+def test_a_row_accepts_a_step_below_1e_9():
+    """At tol 0, rows of halving-142 accept a step scaled 2**-39, the last
+    scale above the halving floor 1e-12: with the floor at 2**-39 or 1e-9,
+    plain Newton ends elsewhere. So the lockstep comparison pins the floor."""
+    h, a, margin, n_teams, penalty = _rows("halving-142")
+    for floor in (2.0 ** -39, 1e-9):
+        changed = 0
+        for k in range(len(margin)):
+            want, want_iter, _ = plain_bt_fit(h[k], a[k], margin[k], n_teams, penalty, 0.0)
+            coef, iterations, _ = plain_bt_fit(h[k], a[k], margin[k], n_teams, penalty, 0.0,
+                                               floor=floor)
+            changed += coef.tobytes() != want.tobytes() or iterations != want_iter
+        assert changed, floor
 
 
 @pytest.mark.parametrize("rows", ROWS)

@@ -47,6 +47,22 @@ def test_spec_requires_finite_parameters(name, value):
         SynthSpec(n_teams=4, games_per_team=4, seed=0, **{"strength_sd": 1.0, name: value})
 
 
+@pytest.mark.parametrize("name", ["home_adv", "mov_scale", "mov_noise_sd"])
+@pytest.mark.parametrize("value", ["x", "1.5", True, None, 10**400],
+                         ids=["str-x", "str-1.5", "True", "None", "10**400"])
+def test_spec_refuses_a_float_field_that_is_not_a_real_number(name, value):
+    """Refused by name when the spec is made, as a strength is, not later
+    in generation."""
+    with pytest.raises(ConfigError, match=f"{name} must be a finite real number"):
+        SynthSpec(n_teams=4, games_per_team=4, seed=0, strength_sd=1.0, **{name: value})
+
+
+@pytest.mark.parametrize("value", ["x", True, 10**400], ids=["str-x", "True", "10**400"])
+def test_spec_refuses_a_strength_sd_that_is_not_a_real_number(value):
+    with pytest.raises(ConfigError, match="strength_sd must be a finite real number"):
+        SynthSpec(n_teams=4, games_per_team=4, seed=0, strength_sd=value)
+
+
 @pytest.mark.parametrize("value", ["1.5", "x", True, None, 10**400, math.nan, math.inf, -math.inf],
                          ids=["str-1.5", "str-x", "True", "None", "10**400", "nan", "inf", "-inf"])
 def test_spec_refuses_a_strength_that_is_not_a_finite_real(value):
