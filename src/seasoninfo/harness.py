@@ -21,10 +21,10 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigError
-from .batch import (DEFAULT_MAX_ITER, DEFAULT_PENALTY, DEFAULT_TOL, fit_bt_batch, fit_mov_batch,
-                    linear_predictor, win_probability)
 from .ingest import Game, Season
-from .models import bt_predicts_home_win, mov_predicts_home_win, score
+from .models import (DEFAULT_MAX_ITER, DEFAULT_PENALTY, DEFAULT_TOL, bt_predicts_home_win,
+                     fit_bt_batch, fit_mov_batch, linear_predictor, mov_predicts_home_win, score,
+                     win_probability)
 
 DEFAULT_X_GRID = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
 # A work unit pays numpy's per-call overhead once for all its replicates;
@@ -114,9 +114,10 @@ def _train_mask(n_games: int, config: ProtocolConfig, fraction: float, replicate
     return chosen
 
 
-def _marked(chosen, per_row: int):
-    """Column indices, ascending, of each row's ``per_row`` True entries."""
-    idx = np.flatnonzero(chosen).reshape(len(chosen), per_row)
+def _marked(chosen):
+    """Column indices, ascending, of each row's True entries; every row of
+    ``chosen`` holds the same number of them."""
+    idx = np.flatnonzero(chosen).reshape(len(chosen), -1)
     idx -= (np.arange(len(chosen)) * chosen.shape[1])[:, None]  # row k's flat index start
     return idx
 
@@ -136,22 +137,21 @@ def home_baseline(test) -> float:
     return score(True, [g.margin for g in games])
 
 
-def _evaluate_split(columns, n_teams: int, config: ProtocolConfig, fraction: float,
+def _evaluate_split(columns, n_teams: int, config: ProtocolConfig,
                     chosen) -> list[tuple[float | None, float, float]]:
     """BT accuracy (None if its fit failed), MOV accuracy and home-pick
     baseline of each replicate of one fraction whose train games a row of
     ``chosen`` marks (``_train_mask``), fitted together and each exactly as
     alone; ``columns`` encode the season (``Season.columns``), and
     ``chosen`` is left unchanged."""
-    m = train_size(fraction, len(columns[2]))
-    train_idx = _marked(chosen, m)
+    train_idx = _marked(chosen)
     train = [col[train_idx] for col in columns]
     del train_idx
     mov = fit_mov_batch(*train, n_teams, penalty=config.mov_penalty)
     bt, _, gnorm = fit_bt_batch(*train, n_teams, penalty=config.bt_penalty,
                                 tol=config.bt_tol, max_iter=config.bt_max_iter)
     del train  # the test games are gathered only once the fits are done
-    test_idx = _marked(~chosen, len(columns[2]) - m)
+    test_idx = _marked(~chosen)
     home, away, margin = (col[test_idx] for col in columns)
     del test_idx
     off = (np.arange(len(margin)) * (n_teams + 1))[:, None]
@@ -202,7 +202,7 @@ def _evaluate_units(states, config, groups) -> dict:
         chosen = _train_mask(len(states[seasons[0]][0][2]), config, f, ks)
         for s in seasons:
             cells.update(((s, f, k), cell) for k, cell
-                         in zip(ks, _evaluate_split(*states[s], config, f, chosen)))
+                         in zip(ks, _evaluate_split(*states[s], config, chosen)))
     return cells
 
 

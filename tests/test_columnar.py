@@ -43,12 +43,14 @@ from seasoninfo import (
     predict_mov,
     run_protocol,
 )
-from seasoninfo import batch, harness
+from seasoninfo import harness, models
 from seasoninfo.harness import (_chunks, _evaluate_split, _evaluate_units, _marked, _narrow,
                                 _train_mask, split_seed, train_size)
-from seasoninfo.batch import _bt_hessian, fit_bt_batch, fit_mov_batch
 from seasoninfo.models import (
+    _bt_hessian,
     bt_predicts_home_win,
+    fit_bt_batch,
+    fit_mov_batch,
     mov_predicts_home_win,
     score,
 )
@@ -126,7 +128,7 @@ def test_every_cell_matches_the_scalar_path(name):
         for lo in range(0, config.replicates, 7):
             ks = range(lo, min(lo + 7, config.replicates))
             chosen = _train_mask(len(season.games), config, f, ks)
-            chunked.update(zip(ks, _evaluate_split(columns, len(season.teams), config, f, chosen)))
+            chunked.update(zip(ks, _evaluate_split(columns, len(season.teams), config, chosen)))
         for k in range(config.replicates):
             got = chunked[k]
             want = scalar_cell(season, config, f, k)
@@ -308,7 +310,7 @@ def test_mov_fit_sums_huge_margins_without_wrapping():
 def _train_rows(season, config, fraction):
     columns = season.columns
     chosen = _train_mask(len(season.games), config, fraction, range(config.replicates))
-    train = _marked(chosen, train_size(fraction, len(season.games)))
+    train = _marked(chosen)
     return [col[train] for col in columns]
 
 
@@ -438,9 +440,8 @@ def mask_split(n_games, config, fraction, replicates):
 
 def split_indices(n_games, config, fraction, replicates):
     """Train and test indices as ``_evaluate_split`` takes them from the mask."""
-    m = train_size(fraction, n_games)
     chosen = _train_mask(n_games, config, fraction, replicates)
-    return _marked(chosen, m), _marked(~chosen, n_games - m)
+    return _marked(chosen), _marked(~chosen)
 
 
 def test_split_indices_match_the_mask_construction():
@@ -725,13 +726,13 @@ def test_full_size_fit_reaches_the_seen_team_optimum(rows):
 
 def _count_objective_passes(monkeypatch):
     """Rows of each objective pass Newton makes from here on."""
-    calls, objective = [], batch._bt_objective
+    calls, objective = [], models._bt_objective
 
     def counted(theta, rows, *args):
         calls.append(len(rows))
         return objective(theta, rows, *args)
 
-    monkeypatch.setattr(batch, "_bt_objective", counted)
+    monkeypatch.setattr(models, "_bt_objective", counted)
     return calls
 
 
