@@ -404,9 +404,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser depends on no argument, so main builds it on its first call and
+# reuses it: one call's parse leaves nothing in it that the next call reads.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command in process and return its exit code. argparse's usage
+    errors and ``--help``/``--version`` raise SystemExit."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

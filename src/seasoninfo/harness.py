@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import multiprocessing
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -60,6 +61,12 @@ class ProtocolConfig:
                 raise ConfigError(f"fraction {f} is not strictly between 0 and 1")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ConfigError(f"master_seed must be an integer, got {seed!r}")
+        object.__setattr__(self, "master_seed", int(seed))  # a numpy int is held as an int
+        if not 0 <= self.master_seed < 2**64:  # split_seed packs it as 64 unsigned bits
+            raise ConfigError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if not (math.isfinite(self.bt_penalty) and self.bt_penalty > 0):
             raise ConfigError(f"bt_penalty must be finite and positive, got {self.bt_penalty}")
         if not (math.isfinite(self.mov_penalty) and self.mov_penalty >= 0):
@@ -87,8 +94,9 @@ class CurvePoint:
 
 
 def split_seed(master_seed: int, fraction: float, replicate: int) -> int:
-    """Stable 64-bit seed for one (fraction, replicate) cell."""
-    payload = struct.pack("<Qdq", master_seed & 0xFFFFFFFFFFFFFFFF, float(fraction), replicate)
+    """Stable 64-bit seed for one (fraction, replicate) cell; ``master_seed``
+    lies in [0, 2**64)."""
+    payload = struct.pack("<Qdq", master_seed, float(fraction), replicate)
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 

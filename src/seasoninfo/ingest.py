@@ -148,7 +148,7 @@ def parse_season(source, league: League, season_label: str) -> Season:
     reader = csv.reader(io.StringIO(text, newline=""))
     rows = []
     teams = set()
-    dates = {}  # each distinct date string is parsed once
+    dates, scores = {}, {}  # each distinct date and score string is parsed once
     try:  # csv.Error: text the reader refuses, such as a field past its size limit
         header = next(reader, None)
         if header is None:
@@ -176,7 +176,13 @@ def parse_season(source, league: League, season_label: str) -> Season:
                 raise ParseError("empty team id", line=line_no)
             if home == away:
                 raise ParseError(f"home and away are both {home!r}", line=line_no)
-            rows.append((date, home, away, _score(hs_s, line_no), _score(as_s, line_no)))
+            home_score = scores.get(hs_s)
+            if home_score is None:
+                home_score = scores[hs_s] = _score(hs_s, line_no)
+            away_score = scores.get(as_s)
+            if away_score is None:
+                away_score = scores[as_s] = _score(as_s, line_no)
+            rows.append((date, home, away, home_score, away_score))
             teams.add(home)
             teams.add(away)
     except csv.Error as exc:

@@ -5,10 +5,13 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from seasoninfo import harness, ingest
+from seasoninfo import SynthSpec, cli, generate_season, harness, ingest, season_to_csv
 from seasoninfo.analysis import CurveRow
 from seasoninfo.cli import curve_text, fmt6, main, read_curve_file
 from seasoninfo.harness import DEFAULT_X_GRID
@@ -538,6 +541,58 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["curve"])  # missing required arguments
     assert err.value.code == 2
+
+
+def test_repeated_main_calls_match_fresh_processes_and_build_one_parser(tmp_path, monkeypatch,
+                                                                        capsys):
+    """A sequence of main calls in one process: each call's exit code,
+    stdout, stderr and files equal those of the same call run alone in a
+    fresh ``python -m seasoninfo.cli``, and the parser is built once."""
+    calls = [
+        ["curve", "s.csv", "--league", "NFL", "--out", "c5.csv", "--seed", "5",
+         "--x-grid", "0.5", "--jobs", "2"],
+        ["curve", "s.csv", "--league", "NFL", "--out", "c.csv"],
+        ["curve", "s.csv", "--league", "XFL", "--out", "bad.csv"],
+        ["--version"],
+        ["summary", "c.csv", "--out", "report"],
+        ["validate", "s.csv"],
+        ["synth", "--teams", "4", "--games-per-team", "3", "--seed", "1", "--out", "syn.csv"],
+    ]
+    season, _ = generate_season(SynthSpec(n_teams=6, games_per_team=8, seed=2, strength_sd=1.0))
+    here, alone = tmp_path / "here", tmp_path / "alone"
+    for d in (here, alone):
+        d.mkdir()
+        (d / "s.csv").write_text(season_to_csv(season), encoding="utf-8")
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.chdir(here)
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        ran = subprocess.run([sys.executable, "-m", "seasoninfo.cli", *argv], cwd=alone, env=env,
+                             capture_output=True, timeout=120)
+        assert (code, out.encode(), err.encode()) == (ran.returncode, ran.stdout, ran.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 2, 0, 0, 0, 0]
+    assert builds == [1]
+
+    def primary(d):
+        return {str(p.relative_to(d)): p.read_bytes() for p in sorted(d.rglob("*"))
+                if p.is_file() and "manifest" not in p.name}
+
+    assert primary(here) == primary(alone)
+    assert sorted(primary(here)) == [
+        "c.csv", "c5.csv", "report/summary.json", "report/table_or.csv",
+        "report/table_slopes.csv", "s.csv", "syn.csv", "syn.truth.json"]
 
 
 def test_summary_saturated_accuracy_writes_null_with_reason(tmp_path):

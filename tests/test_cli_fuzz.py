@@ -133,11 +133,12 @@ def flags(valid: dict, bad: list):
 
 curve_flags = flags(
     {"--league": ["NFL", "NHL", "OTHER"], "--x-grid": ["0.5", "0.25,0.75", "0.125,0.5,0.875"],
-     "--replicates": ["1", "2", "3"], "--seed": ["0", "7", "-1", "99999999999999999999999"],
+     "--replicates": ["1", "2", "3"], "--seed": ["0", "7", "18446744073709551615"],
      "--bt-penalty": ["1", "0.5", "1e300"], "--mov-penalty": ["1", "0", "1e300"]},
     [("--bt-penalty", "0"), ("--bt-penalty", "nan"), ("--mov-penalty", "-1"),
      ("--mov-penalty", "inf"), ("--x-grid", "0.5,0.5"), ("--x-grid", "1"), ("--x-grid", ""),
-     ("--x-grid", "x"), ("--replicates", "0"), ("--jobs", "0"), ("--league", "XFL")])
+     ("--x-grid", "x"), ("--replicates", "0"), ("--jobs", "0"), ("--league", "XFL"),
+     ("--seed", "-1"), ("--seed", "99999999999999999999999")])
 synth_flags = flags(
     {"--teams/--games-per-team": [("4", "3"), ("2", "1"), ("6", "2")], "--seed": ["0", "5"],
      "--home-adv": ["0", "0.3", "-2"], "--strength-sd": ["1", "0", "3"],

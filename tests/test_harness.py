@@ -45,6 +45,33 @@ def test_config_validation():
         ProtocolConfig(x_grid=(0.5, 0.25, 0.5))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, True, 3.0, "7", None])
+def test_config_refuses_a_master_seed_outside_64_unsigned_bits(seed):
+    """A seed is packed as 64 unsigned bits, so one outside [0, 2**64) would
+    draw the splits of another seed; it is refused, and so is a non-integer."""
+    with pytest.raises(ConfigError, match="master_seed"):
+        ProtocolConfig(master_seed=seed)
+
+
+def test_config_holds_a_numpy_master_seed_as_an_int():
+    for seed in (np.uint64(2**64 - 1), np.int32(7), np.int64(0)):
+        config = ProtocolConfig(master_seed=seed)
+        assert type(config.master_seed) is int and config.master_seed == seed
+    assert ProtocolConfig(master_seed=2**64 - 1).master_seed == 2**64 - 1
+
+
+def test_curve_refuses_an_aliasing_seed_and_writes_nothing(tmp_path, capsys):
+    season, _ = generate_season(SynthSpec(n_teams=4, games_per_team=4, seed=1,
+                                          strength_sd=1.0))
+    (tmp_path / "s.csv").write_text(season_to_csv(season), encoding="utf-8")
+    for seed in ("-1", "18446744073709551616"):
+        out = tmp_path / "c.csv"
+        assert main(["curve", str(tmp_path / "s.csv"), "--league", "NFL", "--seed", seed,
+                     "--out", str(out)]) == 2
+        assert "master_seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+
 def test_split_seed_is_frozen():
     # The seeding scheme is a reproducibility contract; these values must
     # never change silently.

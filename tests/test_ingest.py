@@ -92,6 +92,17 @@ def test_errors_after_a_field_with_a_newline_name_the_physical_line(row):
     assert err.value.line == 4 and "line 4" in str(err.value)
 
 
+def test_a_bad_score_is_reported_on_the_first_line_that_holds_it():
+    """Each distinct score text is read once; a bad one that later lines
+    repeat, in either column, still fails on the first line that holds it."""
+    rows = ["2012-09-09,GB,CHI,23,10", "2012-09-10,CHI,NYG,10,x1", "2012-09-11,NYG,GB,x1,23",
+            "2012-09-12,GB,NYG,x1,x1"]
+    for i in range(1, len(rows)):
+        with pytest.raises(ParseError, match="line 3: score 'x1' is not") as err:
+            parse(CANONICAL + "\n".join(rows[:i + 1]) + "\n")
+        assert err.value.line == 3
+
+
 def test_parse_accepts_the_largest_int64_score():
     season = parse(CANONICAL + "2012-09-09,GB,CHI,0009223372036854775807,0\n")
     assert season.games[0].home_score == 2**63 - 1

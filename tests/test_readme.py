@@ -49,7 +49,8 @@ def test_the_library_example_runs_as_written(tmp_path, monkeypatch, capsys):
 
 def test_every_package_name_in_the_readme_resolves():
     names = _package_names()
-    assert {"harness.UNIT_BYTES", "analysis.CurveRow", "models.fit_bt_batch"} <= set(names)
+    assert {"harness.UNIT_BYTES", "analysis.CurveRow", "models.fit_bt_batch",
+            "cli.main"} <= set(names)
     for name in names:
         module, attr = name.split(".")
         assert importlib.util.find_spec(f"seasoninfo.{module}"), f"{name}: no such module"
