@@ -52,6 +52,16 @@ class ProtocolConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "x_grid", tuple(self.x_grid))
+        typed = [("replicates", self.replicates, numbers.Integral),
+                 ("master_seed", self.master_seed, numbers.Integral),
+                 ("bt_penalty", self.bt_penalty, numbers.Real),
+                 ("mov_penalty", self.mov_penalty, numbers.Real)]
+        for name, value, kind in typed + [("x_grid entry", f, numbers.Real) for f in self.x_grid]:
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is numbers.Integral else "a real number"
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+            if kind is numbers.Integral:  # a numpy int is held as an int
+                object.__setattr__(self, name, int(value))
         if not self.x_grid:
             raise ConfigError("x_grid is empty")
         if len(set(self.x_grid)) < len(self.x_grid):
@@ -61,10 +71,6 @@ class ProtocolConfig:
                 raise ConfigError(f"fraction {f} is not strictly between 0 and 1")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-            raise ConfigError(f"master_seed must be an integer, got {seed!r}")
-        object.__setattr__(self, "master_seed", int(seed))  # a numpy int is held as an int
         if not 0 <= self.master_seed < 2**64:  # split_seed packs it as 64 unsigned bits
             raise ConfigError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if not (math.isfinite(self.bt_penalty) and self.bt_penalty > 0):

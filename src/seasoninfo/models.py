@@ -126,21 +126,29 @@ def _bt_objective(theta, rows, h, a, w, decisive, penalty):
     return -terms.sum(axis=1) - 0.5 * penalty * _row_dots(theta[rows])
 
 
-def _bt_hessian(pi, h, a, n, penalty):
+def _pair_keys(home, away, k):
+    """Keys of each game's (home, away) and (away, home) entries in a
+    (K, k, k) stack, from (K, m) team indices: row i's (t, u) entry is key
+    i k² + t k + u, in int32 unless K k² needs 64 bits."""
+    dtype = np.int32 if len(home) * k * k < 2**31 else np.int64
+    base = (np.arange(len(home), dtype=dtype) * k * k)[:, None]
+    pairs = [np.multiply(x, k, dtype=dtype) for x in (home, away)]
+    for keys, x in zip(pairs, (away, home)):
+        keys += x
+        keys += base
+    return pairs
+
+
+def _bt_hessian(pi, h, a, pairs, n, penalty):
     """Negated Hessians (positive definite) of the penalized log-likelihood
     for rows of (G, m) games over ``n`` teams each, ``h`` and ``a`` indexing
     the flattened (G, n+1) parameters; (G, n+1, n+1). Each row's
-    off-diagonal sums run over its (h, a) and then its (a, h) pairs, in
-    game order, as two ``np.subtract.at`` passes over one matrix would."""
+    off-diagonal sums run over its (h, a) and then its (a, h) ``pairs`` keys
+    from ``_pair_keys``, in game order, by two ``np.subtract.at`` passes."""
     count, k = len(pi), n + 1
     wt = pi * (1.0 - pi)
-    base = (np.arange(count) * k)[:, None]  # row i's first key
     H = np.zeros((count, k, k))
-    keys = np.empty(pi.shape, dtype=np.intp)
-    for first, second in ((h, a), (a, h)):
-        np.multiply(first, k, out=keys)
-        keys += second
-        keys -= base  # row i's (t, u) entry is key i k² + t k + u of the stack
+    for keys in pairs:
         np.subtract.at(H.reshape(-1), keys.ravel(), wt.ravel())
     dh, da = (np.bincount(side.ravel(), wt.ravel(), count * k).reshape(count, k)
               for side in (h, a))
@@ -169,12 +177,12 @@ def _ridge_solve(A, b, penalty, floor, seen):
     return x
 
 
-def _bt_newton(h, a, w, decisive, seen, n, penalty, tol, max_iter):
-    """Damped Newton in lockstep over rows of games over ``n`` teams, keyed
-    as for ``linear_predictor``; ``seen`` (K, n) marks the teams of each
-    row's decisive games. A finished row leaves: the live rows' games are
-    gathered into new arrays. Returns each row's parameters (strengths,
-    home advantage), iterations and gradient norm."""
+def _bt_newton(h, a, pairs, w, decisive, seen, n, penalty, tol, max_iter):
+    """Damped Newton in lockstep over rows of games over ``n`` teams, keyed as
+    for ``linear_predictor`` and by ``pairs`` for the Hessian; ``seen`` (K, n)
+    marks the teams of each row's decisive games. A finished row leaves: the
+    live rows' games and keys are gathered into new arrays. Returns each row's
+    parameters (strengths, home advantage), iterations and gradient norm."""
     count, width = len(h), n + 1
     floor = np.finfo(float).eps * (h.shape[1] + 1)
     theta = np.zeros((count, width))
@@ -193,12 +201,14 @@ def _bt_newton(h, a, w, decisive, seen, n, penalty, tol, max_iter):
             keep = np.flatnonzero(live)
             if not keep.size:
                 return fitted, iterations, norms
-            games, pi = [x[keep] for x in games], pi[keep]
-            for keys in games[:2]:
-                keys -= ((keep - np.arange(len(keep))) * width)[:, None]
+            games, pairs, pi = [x[keep] for x in games], [x[keep] for x in pairs], pi[keep]
+            moved = (keep - np.arange(len(keep)))[:, None]  # rows each live row moves up
+            for keys, stride in zip(games[:2] + pairs, (width, width, width**2, width**2)):
+                keys -= moved * stride
             theta, grad, gnorm, ids, iters, live, seen = (
                 x[keep] for x in (theta, grad, gnorm, ids, iters, live, seen))
-        step = _ridge_solve(_bt_hessian(pi, *games[:2], n, penalty), grad, penalty, floor, seen)
+        step = _ridge_solve(_bt_hessian(pi, *games[:2], pairs, n, penalty), grad, penalty,
+                            floor, seen)
         # A step counts as progress if it shrinks the gradient or raises
         # the objective. The rows that made no progress halve their steps
         # together, so one scale serves them. The objective decides only
@@ -245,14 +255,14 @@ def fit_bt_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PENA
     if penalty <= 0:
         raise ValueError("penalty must be positive")
     count, k, decisive = len(margin), n_teams + 1, margin != 0
-    home, away = (keys + (np.arange(count) * k)[:, None] for keys in (home, away))
-    reach = np.bincount(np.append(home[decisive], away[decisive]), minlength=count * k)
+    h, a = (keys + (np.arange(count) * k)[:, None] for keys in (home, away))
+    reach = np.bincount(np.append(h[decisive], a[decisive]), minlength=count * k)
     seen = reach.reshape(count, k)[:, :n_teams] > 0
     no_decisive = ~seen.any(axis=1)
     if no_decisive.all():  # also where there is no row or no game: no Newton step
         return np.zeros((count, k)), np.zeros(count, dtype=int), np.full(count, np.nan)
-    coef, iterations, norms = _bt_newton(home, away, margin > 0, decisive, seen,
-                                         n_teams, penalty, tol, max_iter)
+    coef, iterations, norms = _bt_newton(h, a, _pair_keys(home, away, k), margin > 0, decisive,
+                                         seen, n_teams, penalty, tol, max_iter)
     norms[no_decisive] = np.nan
     return coef, iterations, norms
 
@@ -264,11 +274,12 @@ def fit_mov_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PEN
 
     A game's design row is e_home - e_away + e_adv, so the normal equations
     are the schedule's graph Laplacian bordered by home-minus-away counts
-    (Massey 1997), from one integer bincount over (home, away) pairs, exact
-    in any order. They gain 1 on each unseen team's diagonal and the seen
-    teams' outer product (the seen strengths' sum in each seen team's
-    equation), both 0 at the ridge optimum, so a positive penalty gives
-    positive definite systems. They solve by
+    (Massey 1997), built game by game: bincounts of each team's home and
+    away games and an ``np.subtract.at`` pass per side over ``_pair_keys``
+    count in exact integers, so in any order. They gain 1 on each unseen
+    team's diagonal and the seen teams' outer product (the seen strengths'
+    sum in each seen team's equation), both 0 at the ridge optimum, so a
+    positive penalty gives positive definite systems. They solve by
     ``_ridge_solve`` above the floor sqrt(eps) * (m + 1); at penalty 0, or
     below the floor, least-norm rows fit a disconnected schedule or a
     confounded home advantage too, and a team without a game is unreached.
@@ -281,16 +292,13 @@ def fit_mov_batch(home, away, margin, n_teams: int, penalty: float = DEFAULT_PEN
     g = np.bincount(hk.ravel(), margin.ravel(), count * k).reshape(count, k)
     g -= np.bincount(ak.ravel(), margin.ravel(), count * k).reshape(count, k)
     g[:, n_teams] = margin.sum(axis=1, dtype=float)  # int64 sums wrap
-    hk *= k
-    hk += ak - block
-    pairs = np.bincount(hk.ravel(), minlength=count * k * k).reshape(count, k, k)
-    del hk, ak
-    G = np.add(pairs, pairs.transpose(0, 2, 1), out=np.empty(pairs.shape))
-    home_n, away_n = pairs.sum(axis=2), pairs.sum(axis=1)
-    del pairs
+    home_n, away_n = (np.bincount(x.ravel(), minlength=count * k).reshape(count, k)
+                      for x in (hk, ak))
     seen = (home_n + away_n)[:, :n_teams] > 0
-    teams = G[:, :n_teams, :n_teams]  # a view
-    np.subtract(seen[:, :, None] & seen[:, None, :], teams, out=teams)
+    G = np.empty((count, k, k))  # the border and the diagonal are set below
+    np.logical_and(seen[:, :, None], seen[:, None, :], out=G[:, :n_teams, :n_teams])
+    for keys in _pair_keys(home, away, k):
+        np.subtract.at(G.reshape(-1), keys.ravel(), 1.0)
     G.reshape(count, -1)[:, ::k + 1] = home_n + away_n + (1.0 + penalty)
     G[:, n_teams] = G[:, :, n_teams] = home_n - away_n
     G[:, n_teams, n_teams] = m

@@ -48,6 +48,7 @@ from seasoninfo.harness import (_chunks, _evaluate_split, _evaluate_units, _mark
                                 _train_mask, split_seed, train_size)
 from seasoninfo.models import (
     _bt_hessian,
+    _pair_keys,
     bt_predicts_home_win,
     fit_bt_batch,
     fit_mov_batch,
@@ -193,7 +194,8 @@ def test_bt_hessian_equals_subtract_at_construction():
         pi = rng.uniform(0.01, 0.99, len(h))
         penalty = float(rng.uniform(0.1, 3.0))
         ref = subtract_at_hessian(pi, h, a, n, penalty)
-        got = _bt_hessian(pi[None], h[None], a[None], n, penalty)[0]
+        pairs = _pair_keys(h[None], a[None], n + 1)
+        got = _bt_hessian(pi[None], h[None], a[None], pairs, n, penalty)[0]
         assert got.tobytes() == ref.tobytes()
 
 
@@ -252,6 +254,42 @@ def test_mov_fit_equals_dense_design_solution():
         assert got.tobytes() == dense_full_mov_coef(h, a, margin, n_teams, penalty).tobytes()
         reduced = dense_mov_coef(h, a, margin, n_teams, penalty)
         assert np.abs(got - reduced).max() <= 1e-9 * np.abs(reduced).max()
+
+
+def _mixed_rows(rng, n_teams, m, count):
+    """(count, m) game columns whose rows reach different team sets, from
+    two teams to all ``n_teams``, so most rows leave teams unseen; about a
+    fifth of the games are ties, and the first row has only ties."""
+    rows = []
+    for i in range(count):
+        reach = rng.permutation(n_teams)[:2 + i % (n_teams - 1)]
+        h, a, margin = _random_games(rng, len(reach), m)
+        rows.append((reach[h], reach[a], margin))
+    rows[0][2][:] = 0
+    return [np.array(col) for col in zip(*rows)]
+
+
+def test_mov_stack_rows_equal_their_one_row_dense_solutions():
+    """The margin systems of a K-row stack are built game by game over the
+    whole stack; each row's fit is, bit for bit, the dense full-size solve
+    of that row alone, whatever the other rows' teams."""
+    rng = np.random.default_rng(30)
+    for n_teams, m, count in ((9, 12, 11), (32, 16, 40)):
+        home, away, margin = _mixed_rows(rng, n_teams, m, count)
+        for penalty in (0.3, 1.0, 3.7):
+            coef = fit_mov_batch(home, away, margin, n_teams, penalty)
+            for i in range(count):
+                want = dense_full_mov_coef(home[i], away[i], margin[i], n_teams, penalty)
+                assert coef[i].tobytes() == want.tobytes(), (n_teams, penalty, i)
+
+
+@pytest.mark.parametrize("rows,k,dtype", [
+    (1, 46340, np.int32), (1, 46341, np.int64), (2, 32767, np.int32), (2, 32768, np.int64)])
+def test_pair_keys_take_64_bits_once_the_stack_needs_them(rows, k, dtype):
+    """Pair keys are int32 while rows * k**2 < 2**31 (every real shape) and
+    int64 from there on: checked on rows of no games, so no stack is made."""
+    empty = np.zeros((rows, 0), dtype=np.intp)
+    assert [keys.dtype for keys in _pair_keys(empty, empty, k)] == [dtype, dtype]
 
 
 def _assert_least_squares_fit(h, a, margin, n_teams, penalty=0.0):
@@ -678,6 +716,33 @@ def test_lockstep_fit_matches_plain_newton(rows, tol):
         assert coef[k].tobytes() == want.tobytes(), k
         assert iterations[k] == want_iter, k
         assert repr(float(gnorm[k])) == repr(float(want_norm)), k
+
+
+@pytest.mark.parametrize("rows", ["ties", "unseen_teams", "halving-1941"])
+def test_lockstep_newton_compacts_its_pair_keys_as_rows_leave(monkeypatch, rows):
+    """Newton makes the Hessian's pair keys once per fit. Rows leave at
+    different iterations, earlier rows before later ones, so the keys of
+    the rows left move up: at every Hessian they are the live rows' own
+    pair keys, and each row's fit is its one-row fit."""
+    h, a, margin, n_teams, penalty = _rows(rows)
+    live_rows, hessian = [], models._bt_hessian
+
+    def checked(pi, h, a, pairs, n, penalty):
+        block = (np.arange(len(h)) * (n + 1))[:, None]
+        want = _pair_keys(h - block, a - block, n + 1)
+        assert [(x.dtype, x.tobytes()) for x in pairs] == [(x.dtype, x.tobytes()) for x in want]
+        live_rows.append(len(h))
+        return hessian(pi, h, a, pairs, n, penalty)
+
+    monkeypatch.setattr(models, "_bt_hessian", checked)
+    coef, iterations, gnorm = fit_bt_batch(h, a, margin, n_teams, penalty)
+    assert len(set(live_rows)) > 1
+    assert any(iterations[i] < iterations[j] for i, j in itertools.combinations(range(len(h)), 2))
+    monkeypatch.setattr(models, "_bt_hessian", hessian)
+    for i in range(len(h)):
+        want = fit_bt_batch(h[i:i + 1], a[i:i + 1], margin[i:i + 1], n_teams, penalty)
+        assert coef[i].tobytes() == want[0][0].tobytes(), i
+        assert iterations[i] == want[1][0] and gnorm[i:i + 1].tobytes() == want[2].tobytes(), i
 
 
 def test_tol_0_stops_rows_at_the_halving_floor():

@@ -60,6 +60,26 @@ def test_config_holds_a_numpy_master_seed_as_an_int():
     assert ProtocolConfig(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
+@pytest.mark.parametrize("field,value", [
+    ("replicates", 2.5), ("replicates", True), ("replicates", "3"), ("replicates", None),
+    ("x_grid", ("0.5",)), ("x_grid", (0.5, None)), ("x_grid", (True,)),
+    ("bt_penalty", "1"), ("bt_penalty", None), ("bt_penalty", True),
+    ("mov_penalty", None), ("mov_penalty", "0"), ("mov_penalty", False)])
+def test_config_refuses_a_non_integer_count_and_non_real_numbers(field, value):
+    """``replicates`` must be an integer and each fraction and penalty a
+    real number, none of them a bool: anything else is a ConfigError, not
+    a TypeError from a later comparison or call."""
+    with pytest.raises(ConfigError, match="x_grid entry" if field == "x_grid" else field):
+        ProtocolConfig(**{field: value})
+
+
+def test_config_holds_a_numpy_replicate_count_as_an_int(toy_16_game_season):
+    config = ProtocolConfig(x_grid=(np.float64(0.5),), replicates=np.int64(3),
+                            bt_penalty=np.float32(2.0), mov_penalty=np.int64(0))
+    assert type(config.replicates) is int and config.replicates == 3
+    assert len(run_protocol(toy_16_game_season, config)) == 1
+
+
 def test_curve_refuses_an_aliasing_seed_and_writes_nothing(tmp_path, capsys):
     season, _ = generate_season(SynthSpec(n_teams=4, games_per_team=4, seed=1,
                                           strength_sd=1.0))
